@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -218,56 +218,20 @@ def build_model(cfg: ModelConfig, dtype=np.float64) -> "Model":
 
 @dataclass
 class Model:
-    """A built network: config, parameters, and the layer plan."""
+    """A built network: config, parameters, and the wired blocks."""
 
     cfg: ModelConfig
     params: ParameterStore
     dtype: type = np.float64
-    plan: list[dict] = field(init=False)
 
     def __post_init__(self):
         self._blocks: dict[tuple[int, int], BlockParams] = {}
-        plan: list[dict] = [
-            {
-                "layer": "projection",
-                "kernel": self.cfg.proj_kernel,
-                "in_dim": self.cfg.input_dim,
-                "out_dim": self.cfg.d_model,
-                "frames": self.cfg.seq_len,
-            }
-        ]
-        length = self.cfg.seq_len
         try:
-            for s, (factor, depth) in enumerate(
-                zip(self.cfg.stage_factors, self.cfg.stage_depths)
-            ):
-                length //= factor
-                plan.append(
-                    {"layer": "merge", "stage": s, "factor": factor, "frames": length}
-                )
+            for s, depth in enumerate(self.cfg.stage_depths):
                 for b in range(depth):
                     self._blocks[(s, b)] = self._wire_block(s, b)
-                    plan.append(
-                        {
-                            "layer": "block",
-                            "stage": s,
-                            "index": b,
-                            "token": self.cfg.token_mixer.value,
-                            "channel": self.cfg.channel_mixer.value,
-                            "frames": length,
-                        }
-                    )
-            plan.append({"layer": "final_norm", "frames": length})
-            plan.append(
-                {
-                    "layer": "head",
-                    "hidden": self.cfg.head_hidden,
-                    "classes": self.cfg.num_classes,
-                }
-            )
         except KeyError as exc:
             raise FormatError(f"parameter store is missing {exc.args[0]}") from None
-        self.plan = plan
 
     def _wire_block(self, s: int, b: int) -> BlockParams:
         store, d = self.params, self.cfg.d_model

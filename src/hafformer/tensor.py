@@ -299,6 +299,24 @@ def mean_pool_time(x: Tensor) -> Tensor:
 # temporal convolution
 
 
+def _tap_slices(L: int, lout: int, k: int, stride: int, padding: int):
+    """Per tap ``t``, the output rows and input rows it pairs, skipping padding.
+
+    Output row ``i`` reads input row ``i*stride + t - padding``; the pairs
+    whose input row lies inside ``[0, L)`` are ``out[i_lo:i_hi]`` and
+    ``inp[r_lo:r_hi:stride]``. Taps that reach no input row are left out.
+    """
+    taps = []
+    for t in range(k):
+        i_lo = max(0, -((t - padding) // stride))  # ceil((padding - t) / stride)
+        i_hi = min(lout, (L - 1 - t + padding) // stride + 1)
+        if i_hi > i_lo:
+            r_lo = i_lo * stride + t - padding
+            r_hi = (i_hi - 1) * stride + t - padding + 1
+            taps.append((t, slice(i_lo, i_hi), slice(r_lo, r_hi, stride)))
+    return taps
+
+
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -311,8 +329,17 @@ def conv1d(
     """Temporal convolution along the frame axis with zero padding.
 
     ``x`` is (L, Cin), ``weight`` is (Cout, Cin/groups, k); the output has
-    floor((L + 2p - k)/s) + 1 frames. Depthwise means
-    groups == Cin == Cout with one input channel per group.
+    floor((L + 2p - k)/s) + 1 frames. Two groupings are supported: dense
+    (groups == 1) and depthwise (groups == Cin == Cout, one input channel
+    per group); any other grouping raises ``ConfigError``.
+
+    Dense: one GEMM of the input against all taps at once, ``P = X @ W_cat``
+    with ``W_cat`` the weight laid out as (Cin, k*Cout), then a strided
+    shift-add: output row i sums ``P[i*s + t - p, tap t]`` over the taps t
+    whose input row is not padding. The backward pass scatters the upstream
+    gradient once into ``G_cat`` (L, k*Cout) with the same index map, then
+    ``dW = G_cat.T @ X`` and ``dX = G_cat @ W_cat.T``. No padded copy of the
+    input is made. Depthwise: the same index map, one scaled add per tap.
     """
     _require_2d(x, "conv1d")
     w = weight.value
@@ -324,9 +351,11 @@ def conv1d(
         raise ConfigError(f"conv1d: stride must be >= 1, got {stride}")
     if padding < 0:
         raise ConfigError(f"conv1d: padding must be >= 0, got {padding}")
-    if groups < 1 or cin % groups != 0 or cout % groups != 0:
+    depthwise = groups != 1
+    if depthwise and not groups == cin == cout:
         raise ConfigError(
-            f"conv1d: groups={groups} incompatible with channels {cin} -> {cout}"
+            f"conv1d: groups={groups} with channels {cin} -> {cout}; only dense "
+            "(groups=1) and depthwise (groups=Cin=Cout) convolutions are supported"
         )
     if cpg != cin // groups:
         raise ShapeError(
@@ -337,61 +366,48 @@ def conv1d(
     if bias is not None and bias.value.shape != (cout,):
         raise ShapeError(f"conv1d: bias shape {bias.value.shape} != ({cout},)")
 
+    xv = x.value
     lout = (L + 2 * padding - k) // stride + 1
-    span = (lout - 1) * stride + 1
-    xp = np.pad(x.value, ((padding, padding), (0, 0))) if padding else x.value
-    depthwise = groups == cin and cout == cin and cpg == 1
-    opg = cout // groups
+    taps = _tap_slices(L, lout, k, stride, padding)
+    y = np.zeros((lout, cout), dtype=xv.dtype)
 
-    y = np.zeros((lout, cout), dtype=x.value.dtype)
     if depthwise:
-        for t in range(k):
-            y += xp[t : t + span : stride, :] * w[:, 0, t]
-    elif groups == 1:
-        for t in range(k):
-            y += xp[t : t + span : stride, :] @ w[:, :, t].T
+        for t, out_rows, in_rows in taps:
+            y[out_rows] += xv[in_rows] * w[:, 0, t]
+
+        def dx(g):
+            gx = np.zeros_like(xv)
+            for t, out_rows, in_rows in taps:
+                gx[in_rows] += g[out_rows] * w[:, 0, t]
+            return gx
+
+        def dw(g):
+            gw = np.zeros_like(w)
+            for t, out_rows, in_rows in taps:
+                gw[:, 0, t] = (g[out_rows] * xv[in_rows]).sum(axis=0)
+            return gw
+
     else:
-        for gi in range(groups):
-            xs = xp[:, gi * cpg : (gi + 1) * cpg]
-            wg = w[gi * opg : (gi + 1) * opg]
-            acc = np.zeros((lout, opg), dtype=y.dtype)
-            for t in range(k):
-                acc += xs[t : t + span : stride, :] @ wg[:, :, t].T
-            y[:, gi * opg : (gi + 1) * opg] = acc
+        w_cat = w.transpose(1, 2, 0).reshape(cin, k * cout)
+        p = (xv @ w_cat).reshape(L, k, cout)
+        for t, out_rows, in_rows in taps:
+            y[out_rows] += p[in_rows, t]
+
+        def scatter(g):
+            g_cat = np.zeros((L, k, cout), dtype=g.dtype)
+            for t, out_rows, in_rows in taps:
+                g_cat[in_rows, t] = g[out_rows]
+            return g_cat.reshape(L, k * cout)
+
+        def dx(g):
+            return scatter(g) @ w_cat.T
+
+        def dw(g):
+            # (k*Cout, Cin) -> (Cout, Cin, k); G_cat.T @ X is the faster orientation
+            return (scatter(g).T @ xv).reshape(k, cout, cin).transpose(1, 2, 0)
+
     if bias is not None:
         y = y + bias.value
-
-    def dx(g):
-        dxp = np.zeros_like(xp)
-        if depthwise:
-            for t in range(k):
-                dxp[t : t + span : stride, :] += g * w[:, 0, t]
-        elif groups == 1:
-            for t in range(k):
-                dxp[t : t + span : stride, :] += g @ w[:, :, t]
-        else:
-            for gi in range(groups):
-                gg = g[:, gi * opg : (gi + 1) * opg]
-                wg = w[gi * opg : (gi + 1) * opg]
-                for t in range(k):
-                    dxp[t : t + span : stride, gi * cpg : (gi + 1) * cpg] += gg @ wg[:, :, t]
-        return dxp[padding : padding + L, :] if padding else dxp
-
-    def dw(g):
-        gw = np.zeros_like(w)
-        if depthwise:
-            for t in range(k):
-                gw[:, 0, t] = (g * xp[t : t + span : stride, :]).sum(axis=0)
-        elif groups == 1:
-            for t in range(k):
-                gw[:, :, t] = g.T @ xp[t : t + span : stride, :]
-        else:
-            for gi in range(groups):
-                xs = xp[:, gi * cpg : (gi + 1) * cpg]
-                gg = g[:, gi * opg : (gi + 1) * opg]
-                for t in range(k):
-                    gw[gi * opg : (gi + 1) * opg, :, t] = gg.T @ xs[t : t + span : stride, :]
-        return gw
 
     if bias is None:
         return Tensor(y, (x, weight), (dx, dw))

@@ -133,9 +133,9 @@ def test_criterion_5_gradient_correctness():
     with criterion(5, "primitives, all 24 blocks, and shrunken end-to-end pass FD checks in < 60s"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(42)
-        for name, build in _loss_builders(rng).items():
+        for name, (build, params) in _loss_builders(rng, 24).items():
             x = Tensor(rng.standard_normal((24, 8)))
-            err = grad_check(lambda: build(x), [x])
+            err = grad_check(lambda: build(x), [x, *params])
             assert err < 1e-4, f"primitive {name}: {err}"
         for tk, ck in ALL_MIXER_COMBOS:
             bp = mixers.random_block_params(tk, ck, 8, rng)

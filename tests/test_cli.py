@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -250,3 +251,29 @@ def test_seed_override_changes_the_run(tmp_path, capsys):
     assert (tmp_path / "a" / "checkpoint.hafc").read_bytes() != (
         tmp_path / "b" / "checkpoint.hafc"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "code,preset,warns",
+    [
+        ("import numpy, hafformer", False, True),
+        ("import hafformer, numpy", False, False),
+        ("import numpy, hafformer", True, False),
+    ],
+)
+def test_thread_cap_warns_when_numpy_was_imported_first(code, preset, warns):
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["HAFF_THREADS"] = "1"
+    if preset:
+        env.update(dict.fromkeys(thread_vars, "1"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    if warns:
+        assert result.stderr.count("RuntimeWarning") == 1
+        assert all(var in result.stderr for var in thread_vars)
+        assert "no effect" in result.stderr
+    else:
+        assert result.stderr == ""

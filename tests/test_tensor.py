@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,18 +108,34 @@ def test_conv1d_depthwise_constant_boundary():
     assert out.value[-1] == pytest.approx(np.full(3, 2 * c))
 
 
-def test_conv1d_merge_shape_and_values(rng):
-    x = rng.standard_normal((3200, 8))
-    w = rng.standard_normal((8, 8, 4))
-    b = rng.standard_normal(8)
-    out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=4, padding=0)
-    assert out.value.shape == (800, 8)
-    # brute force over a slice is enough to pin the arithmetic
-    expect = brute_conv1d(x[:64], w, b, stride=4)
-    assert np.max(np.abs(out.value[:16] - expect)) < 1e-12
+# (L, k, stride, padding) for dense convs: the model's projection and merge
+# shapes, k < stride, k > stride, padding with stride > 1, trailing frames
+# that no window reaches, and windows that lie partly or wholly in the padding
+CONV_GRID = [
+    (16, 3, 1, 1),
+    (16, 4, 4, 0),
+    (10, 2, 3, 0),
+    (11, 5, 2, 0),
+    (9, 3, 2, 1),
+    (12, 3, 4, 2),
+    (13, 4, 4, 0),
+    (7, 5, 3, 3),
+    (4, 2, 3, 3),
+]
 
 
-@pytest.mark.parametrize("groups,cin,cout", [(3, 4, 4), (0, 4, 4), (4, 4, 6)])
+@pytest.mark.parametrize("L,k,stride,padding", [(3200, 3, 1, 1), (3200, 4, 4, 0), *CONV_GRID])
+def test_conv1d_merge_shape_and_values(rng, L, k, stride, padding):
+    x = rng.standard_normal((L, 6))
+    w = rng.standard_normal((5, 6, k))
+    b = rng.standard_normal(5)
+    out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+    assert out.value.shape == ((L + 2 * padding - k) // stride + 1, 5)
+    expect = brute_conv1d(x, w, b, stride=stride, padding=padding)
+    assert np.max(np.abs(out.value - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("groups,cin,cout", [(3, 4, 4), (0, 4, 4), (4, 4, 6), (2, 6, 4)])
 def test_conv1d_invalid_grouping(groups, cin, cout):
     with pytest.raises(ConfigError):
         conv1d(
@@ -141,11 +158,16 @@ def test_conv1d_stride_equals_kernel_exact_downsample(rng, L, s):
     assert out.value.shape == (L // s, 2)
 
 
-def test_conv1d_grouped_matches_brute_force(rng):
-    x = rng.standard_normal((11, 6))
-    w = rng.standard_normal((4, 3, 3))  # groups=2: 6 in, 4 out
-    out = conv1d(Tensor(x), Tensor(w), stride=2, padding=1, groups=2)
-    assert np.max(np.abs(out.value - brute_conv1d(x, w, stride=2, padding=1, groups=2))) < 1e-12
+def test_conv1d_dense_forward_makes_no_copy_of_the_input(rng):
+    x = Tensor(rng.standard_normal((3200, 1024)), requires_grad=False)
+    w = Tensor(rng.standard_normal((8, 1024, 3)))
+    tracemalloc.start()
+    try:
+        conv1d(x, w, padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.value.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +355,9 @@ def test_grad_check_rejects_non_finite_loss():
         grad_check(lambda: Tensor([[np.inf]]), [theta])
 
 
-def _loss_builders(rng):
-    """One scalar loss per primitive, each over a parameter leaf."""
+def _loss_builders(rng, rows):
+    """One scalar loss per primitive over an input of ``rows`` frames, paired
+    with the leaves besides the input whose gradients are checked too."""
     gamma = Tensor(1.0 + 0.1 * rng.standard_normal(8))
     beta = Tensor(0.1 * rng.standard_normal(8))
     w_full = Tensor(rng.standard_normal((5, 8, 3)))
@@ -343,7 +366,7 @@ def _loss_builders(rng):
     m = Tensor(rng.standard_normal((8, 8)))
     bias8 = Tensor(rng.standard_normal(8))
     head = Tensor(rng.standard_normal((8, 2)), requires_grad=False)
-    return {
+    builders = {
         "matmul": lambda x: sum_all(gelu(matmul(x, m))),
         "conv_full": lambda x: sum_all(conv1d(x, w_full, b, stride=2, padding=1)),
         "conv_depthwise": lambda x: sum_all(conv1d(x, w_dw, padding=3, groups=8)),
@@ -357,15 +380,27 @@ def _loss_builders(rng):
         "add_bias": lambda x: sum_all(gelu(add_bias(matmul(x, m), bias8))),
         "cross_entropy": lambda x: cross_entropy_logits(matmul(mean_pool_time(x), head), 1),
     }
+    builders = {name: (build, []) for name, build in builders.items()}
+    for L, k, stride, padding in CONV_GRID:
+        # a fixed linear map lifts the input to L frames; gelu makes the
+        # upstream gradient differ per output entry
+        lift = Tensor(rng.standard_normal((L, rows)) / math.sqrt(rows), requires_grad=False)
+        w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
+
+        def conv(x, lift=lift, w=w, stride=stride, padding=padding):
+            return sum_all(gelu(conv1d(matmul(lift, x), w, stride=stride, padding=padding)))
+
+        builders[f"conv_L{L}_k{k}_s{stride}_p{padding}"] = (conv, [w])
+    return builders
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31), rows=st.integers(2, 32))
 def test_primitive_gradients_match_finite_differences(seed, rows):
     rng = np.random.default_rng(seed)
-    for name, build in _loss_builders(rng).items():
+    for name, (build, params) in _loss_builders(rng, rows).items():
         x = Tensor(rng.standard_normal((rows, 8)))
-        err = grad_check(lambda: build(x), [x])
+        err = grad_check(lambda: build(x), [x, *params])
         assert err < 1e-4, f"{name}: {err}"
 
 
