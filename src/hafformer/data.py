@@ -181,8 +181,9 @@ def pad_or_truncate(x: np.ndarray, target_len: int = 3200) -> np.ndarray:
     if rows > target_len:
         return x[:target_len]
     if rows < target_len:
-        pad = np.zeros((target_len - rows, x.shape[1]), dtype=x.dtype)
-        return np.concatenate([x, pad], axis=0)
+        out = np.zeros((target_len, x.shape[1]), dtype=x.dtype)
+        out[:rows] = x
+        return out
     return x
 
 

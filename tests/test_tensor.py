@@ -187,6 +187,16 @@ def test_layer_norm_standardizes_rows(rng):
     assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-4  # eps-limited
 
 
+def test_layer_norm_is_exact_on_rows_far_from_zero(rng):
+    # unit-scale noise on an offset of 1e8: E[x^2] - mean^2 loses every digit
+    x = 1e8 + rng.standard_normal((64, 16))
+    z = x - 1e8  # exact: the noise as stored
+    zc = z - z.mean(axis=1, keepdims=True)
+    expect = zc / np.sqrt((zc * zc).mean(axis=1, keepdims=True) + 1e-5)
+    out = layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).value
+    assert np.max(np.abs(out - expect)) < 1e-6
+
+
 def test_layer_norm_zero_gamma_gives_beta(rng):
     x = rng.standard_normal((4, 6))
     beta = rng.standard_normal(6)
@@ -211,6 +221,16 @@ def test_gelu_at_one_matches_formula():
 
 def test_gelu_asymptote():
     assert abs(gelu(Tensor([[10.0]])).value[0, 0] - 10.0) < 1e-6
+
+
+def test_gelu_matches_closed_form_on_a_grid():
+    xs = np.concatenate([np.linspace(-12.0, 12.0, 24001), [-1e3, 1e3]])
+    got = gelu(Tensor(xs[None, :])).value[0]
+    c0, c1 = math.sqrt(2.0 / math.pi), 0.044715
+    ref = np.array([0.5 * x * (1.0 + math.tanh(c0 * (x + c1 * x**3))) for x in xs.tolist()])
+    # relative to |x|: in the negative tail 1 + tanh cancels, so no
+    # evaluation of this formula is accurate relative to the output there
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(xs))
 
 
 # ---------------------------------------------------------------------------
