@@ -145,16 +145,6 @@ def count_costs(cfg: ModelConfig) -> CostReport:
     return CostReport(tuple(entries))
 
 
-def count_params(cfg: ModelConfig) -> CostReport:
-    """Parameter-count view of the cost model (the report carries both columns)."""
-    return count_costs(cfg)
-
-
-def count_macs(cfg: ModelConfig) -> CostReport:
-    """MAC-count view of the cost model (the report carries both columns)."""
-    return count_costs(cfg)
-
-
 def round_half_away(x: float, decimals: int = 2) -> float:
     """Round with ties going away from zero, e.g. 0.125 -> 0.13."""
     q = Decimal(1).scaleb(-decimals)
@@ -198,17 +188,16 @@ REFERENCE_PROJECTION_MACS_M = 78.64
 
 
 def _is_reference_config(cfg: ModelConfig) -> bool:
+    """True if ``cfg`` differs from the default only in fields that cost nothing."""
     base = ModelConfig()
-    return (
-        cfg.input_dim == base.input_dim
-        and cfg.seq_len == base.seq_len
-        and cfg.d_model == base.d_model
-        and cfg.proj_kernel == base.proj_kernel
-        and cfg.stage_factors == base.stage_factors
-        and cfg.stage_depths == base.stage_depths
-        and cfg.head_hidden == base.head_hidden
-        and cfg.num_classes == base.num_classes
+    free = replace(
+        cfg,
+        token_mixer=base.token_mixer,
+        channel_mixer=base.channel_mixer,
+        channel_residual=base.channel_residual,
+        seed=base.seed,
     )
+    return free == base
 
 
 @dataclass(frozen=True)
@@ -233,43 +222,44 @@ def emit_cost_table(
     if combos is None:
         combos = list(ALL_MIXER_COMBOS)
     base = cfg if cfg is not None else ModelConfig()
-    rows = []
-    warnings: list[str] = []
-    check_reference = _is_reference_config(base)
-    for tk, ck in combos:
-        report = count_costs(replace(base, token_mixer=tk, channel_mixer=ck))
-        row = {
-            "token_mixer": tk.value,
-            "channel_mixer": ck.value,
-            "params": round_half_away(report.params_excl_projection / 1e3),
-            "macs": round_half_away(report.macs_excl_projection / 1e6),
-            "params_incl_projection": round_half_away(report.params_incl_projection / 1e3),
-            "macs_incl_projection": round_half_away(report.macs_incl_projection / 1e6),
-        }
-        rows.append(row)
-        if check_reference and (tk, ck) in REFERENCE_COSTS:
-            ref_params, _ = REFERENCE_COSTS[(tk, ck)]
-            delta = row["params"] - ref_params
-            if abs(delta) > 0.005:
-                warnings.append(
-                    f"{tk.value}+{ck.value}: closed-form params {row['params']:.2f}K "
-                    f"differ from the published {ref_params:.2f}K by {delta:+.2f}K "
-                    f"(known depthwise accounting residue of +32/block in the "
-                    f"published MSDW figures)"
-                )
-
     header = (
         f"{'token':<16}{'channel':<10}{'params[K]':>10}{'MACs[M]':>10}"
         f"{'+proj[K]':>12}{'+proj[M]':>12}"
     )
     lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['token_mixer']:<16}{row['channel_mixer']:<10}"
-            f"{row['params']:>10.2f}{row['macs']:>10.2f}"
-            f"{row['params_incl_projection']:>12.2f}{row['macs_incl_projection']:>12.2f}"
+    rows = []
+    warnings: list[str] = []
+    check_reference = _is_reference_config(base)
+    for tk, ck in combos:
+        report = count_costs(replace(base, token_mixer=tk, channel_mixer=ck))
+        params = round_half_away(report.params_excl_projection / 1e3)
+        macs = round_half_away(report.macs_excl_projection / 1e6)
+        params_incl = round_half_away(report.params_incl_projection / 1e3)
+        macs_incl = round_half_away(report.macs_incl_projection / 1e6)
+        rows.append(
+            dict(
+                token_mixer=tk.value,
+                channel_mixer=ck.value,
+                params=params,
+                macs=macs,
+                params_incl_projection=params_incl,
+                macs_incl_projection=macs_incl,
+            )
         )
-    for w in warnings:
-        lines.append(f"warning: {w}")
+        lines.append(
+            f"{tk.value:<16}{ck.value:<10}{params:>10.2f}{macs:>10.2f}"
+            f"{params_incl:>12.2f}{macs_incl:>12.2f}"
+        )
+        if check_reference and (tk, ck) in REFERENCE_COSTS:
+            ref_params, _ = REFERENCE_COSTS[(tk, ck)]
+            delta = params - ref_params
+            if abs(delta) > 0.005:
+                warnings.append(
+                    f"{tk.value}+{ck.value}: closed-form params {params:.2f}K "
+                    f"differ from the published {ref_params:.2f}K by {delta:+.2f}K "
+                    f"(known depthwise accounting residue of +32/block in the "
+                    f"published MSDW figures)"
+                )
+    lines += [f"warning: {w}" for w in warnings]
     text = "\n".join(lines) if rows else ""
     return CostTable(text=text, rows=tuple(rows), warnings=tuple(warnings))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
     OptimizationError,
 )
-from .mixers import ALL_MIXER_COMBOS, ChannelMixerKind, TokenMixerKind
+from .mixers import ALL_MIXER_COMBOS
 from .model import (
     HierarchyPreset,
     ModelConfig,
@@ -67,33 +67,17 @@ def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(","))
 
 
-_MODEL_KEYS = {
-    "token_mixer": TokenMixerKind,
-    "channel_mixer": ChannelMixerKind,
-    "hierarchy": HierarchyPreset,
-    "stage_factors": _parse_int_tuple,
-    "stage_depths": _parse_int_tuple,
-    "input_dim": int,
-    "seq_len": int,
-    "d_model": int,
-    "proj_kernel": int,
-    "head_hidden": int,
-    "num_classes": int,
-    "channel_residual": _parse_bool,
-    "seed": int,
-}
+def _value_parser(default):
+    """Text parser for a config field, chosen from the type of its default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_int_tuple
+    return type(default)  # int, float, str, or a mixer enum
 
-_RUN_KEYS = {
-    "lr": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "epochs": int,
-    "data_mode": str,
-    "train_per_class": int,
-    "test_per_class": int,
-    "difficulty": float,
-    "data_seed": int,
-}
+
+_MODEL_KEYS = {f.name: _value_parser(f.default) for f in fields(ModelConfig)}
+_RUN_KEYS = {f.name: _value_parser(f.default) for f in fields(RunConfig) if f.name != "model"}
 
 
 def parse_run_config(path) -> RunConfig:
@@ -140,7 +124,7 @@ def parse_run_config(path) -> RunConfig:
 
 def _load_run_config(args) -> RunConfig:
     run = parse_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         run = replace(run, model=replace(run.model, seed=args.seed))
     return run
 
@@ -227,39 +211,39 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _load_split(run: RunConfig, split: str, data_dir=None) -> data.Dataset:
+    """The train or test split: read from ``data_dir`` in files mode, else synthesized.
+
+    Synthetic test records are drawn from ``data_seed + 1``.
+    """
+    if run.data_mode == "files":
+        if data_dir is None:
+            raise ConfigError("data_mode = files requires --data DIR")
+        return data.load_dataset(data_dir, split, expected_cols=run.model.input_dim)
+    per_class = run.train_per_class if split == "train" else run.test_per_class
+    seed = run.data_seed + 1 if split == "test" else run.data_seed
+    return data.synthesize_dataset(per_class, seed, run.difficulty, split)
+
+
 def cmd_synth(args) -> int:
     run = _load_run_config(args)
     data_seed = args.seed if args.seed is not None else run.data_seed
+    run = replace(run, data_mode="synthetic", data_seed=data_seed)
     out = Path(args.out)
-    train_ds = data.synthesize_dataset(run.train_per_class, data_seed, run.difficulty, "train")
-    test_ds = data.synthesize_dataset(run.test_per_class, data_seed + 1, run.difficulty, "test")
-    data.save_dataset(out / "train", train_ds)
-    data.save_dataset(out / "test", test_ds)
-    print(json.dumps({"train": len(train_ds), "test": len(test_ds), "out": str(out)}))
+    counts = {}
+    for split in ("train", "test"):
+        dataset = _load_split(run, split)
+        data.save_dataset(out / split, dataset)
+        counts[split] = len(dataset)
+    print(json.dumps({**counts, "out": str(out)}))
     return 0
-
-
-def _train_dataset(run: RunConfig, data_dir) -> data.Dataset:
-    if run.data_mode == "files":
-        if data_dir is None:
-            raise ConfigError("data_mode = files requires --data DIR")
-        return data.load_dataset(data_dir, "train", expected_cols=run.model.input_dim)
-    return data.synthesize_dataset(run.train_per_class, run.data_seed, run.difficulty, "train")
-
-
-def _eval_dataset(run: RunConfig, data_dir) -> data.Dataset:
-    if run.data_mode == "files":
-        if data_dir is None:
-            raise ConfigError("data_mode = files requires --data DIR")
-        return data.load_dataset(data_dir, "test", expected_cols=run.model.input_dim)
-    return data.synthesize_dataset(run.test_per_class, run.data_seed + 1, run.difficulty, "test")
 
 
 def cmd_train(args) -> int:
     run = _load_run_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _train_dataset(run, args.data)
+    dataset = _load_split(run, "train", args.data)
     model = build_model(run.model)
     log = training.train(
         model,
@@ -286,7 +270,7 @@ def cmd_eval(args) -> int:
     run = _load_run_config(args)
     checkpoint = Path(args.out) / CHECKPOINT_NAME
     model = load_checkpoint(checkpoint)
-    dataset = _eval_dataset(run, args.data)
+    dataset = _load_split(run, "test", args.data)
     metrics = training.evaluate(model, dataset)
     payload = json.dumps(metrics.to_dict())
     print(payload)

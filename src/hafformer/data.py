@@ -24,9 +24,6 @@ EMBEDDING_VERSION = 1
 EMBEDDING_DIM = 1024
 MANIFEST_NAME = "manifest.csv"
 
-# implied by 3200 frames covering ~64 s; recorded for metadata only
-FRAME_RATE_HZ = 50.0
-
 # synthetic-cue constants: class 1 adds difficulty * sin(2*pi*t/CUE_PERIOD + phase)
 # to CUE_CHANNELS. The subset is fixed (independent of the dataset seed) so
 # train and held-out splits share the same cue and generalization is well posed.
@@ -130,6 +127,7 @@ def save_manifest(path, dataset: Dataset) -> None:
 
 
 def load_manifest(path) -> dict[str, int]:
+    """Map each record id to its label; ids must be unique and labels 0 or 1."""
     labels: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -139,10 +137,14 @@ def load_manifest(path) -> dict[str, int]:
             rec_id, sep, label = line.rpartition(",")
             if not sep or not rec_id:
                 raise FormatError(f"{path}:{lineno}: expected 'id,label', got {line!r}")
+            if rec_id in labels:
+                raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
             try:
                 labels[rec_id] = int(label)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: label {label!r} is not an integer") from None
+            if labels[rec_id] not in (0, 1):
+                raise FormatError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
     return labels
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
+from .data import _read_exact
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .mixers import (
     BlockParams,
@@ -131,12 +132,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def names(self) -> list[str]:
         return list(self._items)
@@ -253,12 +248,6 @@ class Model:
             channel_beta=store[f"{prefix}.channel_norm.beta"],
         )
 
-    def block_params(self, stage: int, index: int) -> BlockParams:
-        return self._blocks[(stage, index)]
-
-    def stage_lengths(self) -> tuple[int, ...]:
-        return self.cfg.stage_lengths()
-
     def forward(self, x, trace: list | None = None) -> Tensor:
         """Run the network on one sequence; returns raw logits (1 x classes).
 
@@ -308,48 +297,37 @@ class Model:
 # checkpoint serialization
 
 
+def _field_to_json(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def _config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "input_dim": cfg.input_dim,
-        "seq_len": cfg.seq_len,
-        "d_model": cfg.d_model,
-        "proj_kernel": cfg.proj_kernel,
-        "stage_factors": list(cfg.stage_factors),
-        "stage_depths": list(cfg.stage_depths),
-        "token_mixer": cfg.token_mixer.value,
-        "channel_mixer": cfg.channel_mixer.value,
-        "head_hidden": cfg.head_hidden,
-        "num_classes": cfg.num_classes,
-        "channel_residual": cfg.channel_residual,
-        "seed": cfg.seed,
-    }
+    return {f.name: _field_to_json(getattr(cfg, f.name)) for f in fields(ModelConfig)}
 
 
-def _config_from_dict(payload: dict) -> ModelConfig:
-    expected = set(_config_to_dict(ModelConfig()))
-    got = set(payload)
-    if got != expected:
+def _config_from_dict(payload) -> ModelConfig:
+    """Inverse of ``_config_to_dict``; each value must have its default's JSON type."""
+    defaults = _config_to_dict(ModelConfig())
+    got = set(payload) if isinstance(payload, dict) else set()
+    if got != set(defaults):
         raise FormatError(
-            f"config fields do not match: missing {sorted(expected - got)}, "
-            f"unexpected {sorted(got - expected)}"
+            f"config fields do not match: missing {sorted(set(defaults) - got)}, "
+            f"unexpected {sorted(got - set(defaults))}"
         )
-    try:
-        return ModelConfig(
-            input_dim=int(payload["input_dim"]),
-            seq_len=int(payload["seq_len"]),
-            d_model=int(payload["d_model"]),
-            proj_kernel=int(payload["proj_kernel"]),
-            stage_factors=tuple(int(v) for v in payload["stage_factors"]),
-            stage_depths=tuple(int(v) for v in payload["stage_depths"]),
-            token_mixer=TokenMixerKind(payload["token_mixer"]),
-            channel_mixer=ChannelMixerKind(payload["channel_mixer"]),
-            head_hidden=int(payload["head_hidden"]),
-            num_classes=int(payload["num_classes"]),
-            channel_residual=bool(payload["channel_residual"]),
-            seed=int(payload["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid config payload: {exc}") from None
+    values = {}
+    for f in fields(ModelConfig):
+        raw, like = payload[f.name], defaults[f.name]
+        if type(raw) is not type(like) or (type(raw) is list and any(type(v) is not int for v in raw)):
+            raise FormatError(f"config field {f.name}: expected {type(like).__name__}, got {raw!r}")
+        try:
+            values[f.name] = type(f.default)(raw)
+        except ValueError as exc:
+            raise FormatError(f"config field {f.name}: {exc}") from None
+    return ModelConfig(**values)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -372,13 +350,6 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(struct.pack("<B", value.ndim))
             fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CorruptionError(f"{path}: truncated while reading {what}")
-    return data
 
 
 def load_checkpoint(path, dtype=np.float64) -> Model:

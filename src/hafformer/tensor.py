@@ -28,7 +28,7 @@ class Tensor:
     Leaves (``parents == ()``) are parameters or data; interior nodes hold
     the values produced by a primitive plus the closures that map an
     upstream gradient to each parent's gradient. ``grad`` accumulates
-    across backward calls until ``zero_grad`` (this is how per-sample
+    across backward calls until it is reset to None (this is how per-sample
     gradients are summed over a batch).
     """
 
@@ -51,9 +51,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(node) into ``grad`` over the whole graph.
@@ -453,11 +450,14 @@ def conv1d(
 # losses and verification
 
 
-def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], stable via max subtraction; 1x1 output."""
-    _require_2d(logits, "cross_entropy_logits")
+def cross_entropy(logits: Tensor, label: int) -> Tensor:
+    """-log softmax(logits)[label], stable via max subtraction; 1x1 output.
+
+    Backward is softmax - onehot.
+    """
+    _require_2d(logits, "cross_entropy")
     if logits.value.shape[0] != 1:
-        raise ShapeError(f"cross_entropy_logits: expected a 1xN row, got {logits.value.shape}")
+        raise ShapeError(f"cross_entropy: expected a 1xN row, got {logits.value.shape}")
     n = logits.value.shape[1]
     label = int(label)
     if not 0 <= label < n:

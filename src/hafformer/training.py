@@ -1,4 +1,4 @@
-"""Deterministic optimization and evaluation: cross-entropy, AdamW, metrics.
+"""Deterministic optimization and evaluation: the train loop, AdamW, metrics.
 
 Batches are processed one sequence at a time (the model is single-sequence)
 with gradients averaged via scaled backward seeds, so two runs with the
@@ -16,12 +16,7 @@ import numpy as np
 from .data import Dataset, pad_or_truncate
 from .errors import OptimizationError
 from .model import Model, ParameterStore
-from .tensor import Tensor, cross_entropy_logits
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Differentiable -log softmax(logits)[label]; backward is softmax - onehot."""
-    return cross_entropy_logits(logits, label)
+from .tensor import cross_entropy
 
 
 @dataclass

@@ -9,8 +9,6 @@ from hafformer import analysis
 from hafformer.analysis import (
     REFERENCE_COSTS,
     count_costs,
-    count_macs,
-    count_params,
     emit_cost_table,
     round_half_away,
 )
@@ -45,17 +43,17 @@ def test_report_totals_equal_entry_sums():
 
 
 def test_param_examples():
-    assert count_params(SA_FFN).params_excl_projection == 5090
-    assert count_params(POOL_POOL).params_excl_projection == 890
+    assert count_costs(SA_FFN).params_excl_projection == 5090
+    assert count_costs(POOL_POOL).params_excl_projection == 890
     # closed-form MSDW row is 3.33K; published figure is 3.49K (documented residue)
-    assert count_params(MSDW_GEGLU).params_excl_projection == 3330
+    assert count_costs(MSDW_GEGLU).params_excl_projection == 3330
 
 
 def test_mac_examples():
-    report = count_macs(SA_FFN)
+    report = count_costs(SA_FFN)
     assert abs(report.macs_excl_projection / 1e6 - 28.51) < 0.02
     assert abs(report.macs_incl_projection / 1e6 - 107.15) < 0.03
-    assert abs(count_macs(MSDW_GEGLU).macs_excl_projection / 1e6 - 1.44) < 0.02
+    assert abs(count_costs(MSDW_GEGLU).macs_excl_projection / 1e6 - 1.44) < 0.02
 
 
 def test_projection_macs():
@@ -193,6 +191,33 @@ def test_emit_skips_reference_check_off_configuration():
     cfg = replace(ModelConfig(), d_model=16, head_hidden=16)
     table = emit_cost_table(list(ALL_MIXER_COMBOS), cfg)
     assert table.warnings == ()
+
+
+@pytest.mark.parametrize(
+    "change,checked",
+    [
+        (
+            dict(
+                token_mixer=TokenMixerKind.POOL,
+                channel_mixer=ChannelMixerKind.FFN,
+                channel_residual=False,
+                seed=5,
+            ),
+            True,
+        ),
+        (dict(input_dim=512), False),
+        (dict(seq_len=1600), False),
+        (dict(proj_kernel=5), False),
+        (dict(stage_factors=(4, 2, 4)), False),
+        (dict(stage_depths=(2, 2, 2)), False),
+        (dict(head_hidden=8), False),
+        (dict(num_classes=3), False),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, dict) else None,
+)
+def test_reference_check_runs_only_at_the_reference_shape(change, checked):
+    table = emit_cost_table(list(ALL_MIXER_COMBOS), replace(ModelConfig(), **change))
+    assert bool(table.warnings) == checked
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hafformer import cli, mixers
+from hafformer import cli, data, mixers
+from hafformer.mixers import ChannelMixerKind, TokenMixerKind
+from hafformer.model import ModelConfig
 from hafformer.tensor import Tensor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -108,6 +113,90 @@ def test_missing_config_file(capsys):
     assert run_cli("analyze", "--config", "/nonexistent/x.cfg") == 2
 
 
+# one non-default value per field; a new field must be added here
+MODEL_VALUES = dict(
+    input_dim=16,
+    seq_len=64,
+    d_model=4,
+    proj_kernel=5,
+    stage_factors=(2, 4),
+    stage_depths=(1, 3),
+    token_mixer=TokenMixerKind.DW,
+    channel_mixer=ChannelMixerKind.FFN,
+    head_hidden=6,
+    num_classes=3,
+    channel_residual=False,
+    seed=9,
+)
+RUN_VALUES = dict(
+    lr=0.01,
+    weight_decay=0.0,
+    batch_size=4,
+    epochs=2,
+    data_mode="files",
+    train_per_class=3,
+    test_per_class=2,
+    difficulty=0.5,
+    data_seed=5,
+)
+
+
+def config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return getattr(value, "value", str(value))
+
+
+def test_every_config_field_is_a_key_with_a_typed_value(tmp_path):
+    assert set(MODEL_VALUES) == {f.name for f in fields(ModelConfig)}
+    assert set(RUN_VALUES) == {f.name for f in fields(cli.RunConfig)} - {"model"}
+    path = tmp_path / "all.cfg"
+    items = {**MODEL_VALUES, **RUN_VALUES}
+    path.write_text("".join(f"{k} = {config_text(v)}\n" for k, v in items.items()), encoding="utf-8")
+    run = cli.parse_run_config(path)
+    assert run == cli.RunConfig(model=ModelConfig(**MODEL_VALUES), **RUN_VALUES)
+    for key, value in MODEL_VALUES.items():
+        assert type(getattr(run.model, key)) is type(value), key
+    for key, value in RUN_VALUES.items():
+        assert type(getattr(run, key)) is type(value), key
+
+
+def test_hierarchy_key_expands_the_preset(tmp_path):
+    path = tmp_path / "h.cfg"
+    path.write_text("hierarchy = h2\n", encoding="utf-8")
+    model = cli.parse_run_config(path).model
+    assert (model.stage_factors, model.stage_depths) == ((4, 2), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["channel_residual = yes", "stage_factors = 4,x", "lr = fast", "epochs = 2.5", "hierarchy = h9"],
+)
+def test_badly_typed_config_value_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# header\n{line}\n", encoding="utf-8")
+    assert run_cli("analyze", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert ":2" in err and line.split()[0] in err
+
+
+def readme_config_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Configuration files") :]
+    return section[section.index("```ini\n") + len("```ini\n") : section.index("```\n", 1)]
+
+
+def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
+    block = readme_config_block()
+    keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line.split("#")[0]]
+    assert sorted(keys) == sorted([*MODEL_VALUES, *RUN_VALUES, "hierarchy"])
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert cli.parse_run_config(path) == cli.RunConfig()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -204,6 +293,19 @@ def test_train_files_mode_requires_data_dir(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", data_mode="files")
     assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     assert "--data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["r1,0\nr2,1\nr1,1\n", "r1,0\nr2,2\n"], ids=["repeated-id", "label-2"])
+def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for rec_id in ("r1", "r2"):
+        record = data.EmbeddingRecord(rec_id, np.zeros((64, 1024), dtype=np.float32))
+        data.save_embedding(data_dir / f"{rec_id}.hafe", record)
+    (data_dir / data.MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
+    assert "manifest.csv:" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

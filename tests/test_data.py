@@ -122,6 +122,21 @@ def test_manifest_malformed_line(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("r1,0\nr2,1\nr1,1\n", r":3: id 'r1' is listed twice"),
+        ("a,0\nb,2\n", r":2: label '2' is not 0 or 1"),
+        ("a,0\n\nb,-1\n", r":3: label '-1' is not 0 or 1"),
+    ],
+)
+def test_manifest_rejects_repeated_ids_and_labels_outside_0_1(tmp_path, text, message):
+    path = tmp_path / "manifest.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
+        load_manifest(path)
+
+
 def test_dataset_directory_round_trip(tmp_path, rng):
     ds = synthesize_dataset(2, seed=5, difficulty=1.0)
     save_dataset(tmp_path / "d", ds)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -246,4 +247,50 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CorruptionError, match="trailing"):
+        load_checkpoint(path)
+
+
+DEFAULT_CONFIG_JSON = (
+    b'{"channel_mixer":"geglu","channel_residual":true,"d_model":8,"head_hidden":16,'
+    b'"input_dim":1024,"num_classes":2,"proj_kernel":3,"seed":0,"seq_len":3200,'
+    b'"stage_depths":[2,2,1],"stage_factors":[4,2,2],"token_mixer":"msdw"}'
+)
+
+
+def split_config_block(raw: bytes) -> tuple[bytes, bytes, bytes]:
+    """(magic + version, config JSON, parameters) of a checkpoint file."""
+    cfg_len = int.from_bytes(raw[8:12], "little")
+    return raw[:8], raw[12 : 12 + cfg_len], raw[12 + cfg_len :]
+
+
+def test_checkpoint_config_block_of_the_default_model(tmp_path):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(ModelConfig()), path)
+    assert split_config_block(path.read_bytes())[1] == DEFAULT_CONFIG_JSON
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"drop": "proj_kernel"},
+        {"extra": 1},
+        {"token_mixer": "nope"},
+        {"stage_factors": 4},
+        {"stage_depths": [1, "1"]},
+        {"seq_len": "64"},
+        {"channel_residual": "false"},
+        {"d_model": True},
+    ],
+    ids=lambda edit: next(iter(edit)),
+)
+def test_checkpoint_config_block_rejects_bad_fields(tmp_path, edit):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(SMALL), path)
+    head, cfg_json, params = split_config_block(path.read_bytes())
+    payload = json.loads(cfg_json)
+    payload.pop(edit.pop("drop", None), None)
+    payload.update(edit)
+    cfg_json = json.dumps(payload).encode("utf-8")
+    path.write_bytes(head + len(cfg_json).to_bytes(4, "little") + cfg_json + params)
+    with pytest.raises(FormatError, match="config"):
         load_checkpoint(path)

@@ -14,7 +14,7 @@ from hafformer.tensor import (
     avg_pool_channels,
     avg_pool_time,
     conv1d,
-    cross_entropy_logits,
+    cross_entropy,
     gelu,
     grad_check,
     layer_norm,
@@ -398,7 +398,7 @@ def _loss_builders(rng, rows):
         "avg_pool_channels": lambda x: sum_all(mul(avg_pool_channels(x), x)),
         "add_scale_transpose": lambda x: sum_all(add(scale(x, 1.7), transpose(transpose(x)))),
         "add_bias": lambda x: sum_all(gelu(add_bias(matmul(x, m), bias8))),
-        "cross_entropy": lambda x: cross_entropy_logits(matmul(mean_pool_time(x), head), 1),
+        "cross_entropy": lambda x: cross_entropy(matmul(mean_pool_time(x), head), 1),
     }
     builders = {name: (build, []) for name, build in builders.items()}
     for L, k, stride, padding in CONV_GRID:

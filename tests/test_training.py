@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hafformer import mixers, model as model_module, training
 from hafformer.data import Dataset, EmbeddingRecord, synthesize_dataset
 from hafformer.errors import OptimizationError
 from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
@@ -252,6 +254,42 @@ def test_single_step_descent_majority_over_seeds():
         if batch_loss() < before:
             decreased += 1
     assert decreased >= 3
+
+
+def test_train_reaches_every_patchable_seam(monkeypatch):
+    """The module attributes that per-layer tracing wraps are the ones training calls."""
+    calls = Counter()
+    strides = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "conv1d":
+                strides.append(kwargs["stride"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(model_module, "conv1d")
+    counting(mixers, "token_mix")
+    counting(mixers, "channel_mix")
+    for name in ("pad_or_truncate", "adamw_step", "cross_entropy"):
+        counting(training, name)
+    model = build_model(TINY)
+    ds = tiny_dataset(3, seed=4)
+    training.train(model, ds, 1, 4, 0)
+    samples, blocks = len(ds), TINY.num_blocks()
+    assert strides == [1, *TINY.stage_factors] * samples  # projection first, then the merges
+    assert calls == Counter(
+        conv1d=samples * (1 + len(TINY.stage_factors)),
+        token_mix=samples * blocks,
+        channel_mix=samples * blocks,
+        pad_or_truncate=samples,
+        cross_entropy=samples,
+        adamw_step=2,
+    )
 
 
 def test_checkpoint_reload_preserves_metrics(tmp_path):
