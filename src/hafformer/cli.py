@@ -119,6 +119,10 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: data_mode must be 'synthetic' or 'files', got {run.data_mode!r}")
     if run.epochs < 0 or run.batch_size < 1:
         raise ConfigError(f"{path}: epochs must be >= 0 and batch_size >= 1")
+    if not 0.0 < run.difficulty <= 1.0:
+        raise ConfigError(f"{path}: difficulty must be in (0, 1], got {run.difficulty}")
+    if run.train_per_class < 1 or run.test_per_class < 1:
+        raise ConfigError(f"{path}: train_per_class and test_per_class must be >= 1")
     return run
 
 
@@ -271,6 +275,9 @@ def cmd_eval(args) -> int:
     checkpoint = Path(args.out) / CHECKPOINT_NAME
     model = load_checkpoint(checkpoint)
     dataset = _load_split(run, "test", args.data)
+    unlabeled = [r.id for r in dataset.records if r.label is None]
+    if unlabeled:
+        raise FormatError(f"{args.data}: eval needs a label on every record; {unlabeled[0]!r} has none")
     metrics = training.evaluate(model, dataset)
     payload = json.dumps(metrics.to_dict())
     print(payload)

@@ -3,14 +3,15 @@
 Records are (frames x 1024) embedding matrices with optional binary labels
 (0 = healthy control, 1 = AD). The on-disk format (magic ``HAFE``) stores
 float32 little-endian values and round-trips bit-exactly; a label manifest
-is plain ``id,label`` lines. The synthetic generator stands in for the real
-corpus: class 1 carries a slow sinusoidal drift on a fixed channel subset,
-a long-range cue that the merge hierarchy can exploit and that a
-closed-form band-energy rule can verify.
+is plain ``id,label`` lines (``id,`` when unlabeled). The synthetic
+generator stands in for the real corpus: class 1 carries a slow sinusoidal
+drift on a fixed channel subset, a long-range cue that the merge hierarchy
+can exploit and that a closed-form band-energy rule can verify.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,11 @@ def save_embedding(path, record: EmbeddingRecord) -> None:
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
+    """``n`` bytes from ``fh``; a size larger than what is left of the file is
+    corruption, rejected before anything is allocated for it."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CorruptionError(f"{path}: {what} needs {n} bytes, only {left} are left")
     data = fh.read(n)
     if len(data) != n:
         raise CorruptionError(f"{path}: truncated while reading {what}")
@@ -121,14 +127,19 @@ def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> Embedding
 
 
 def save_manifest(path, dataset: Dataset) -> None:
+    """One ``id,label`` line per record; an unlabeled record is ``id,``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in dataset.records:
-            fh.write(f"{record.id},{record.label}\n")
+            label = "" if record.label is None else record.label
+            fh.write(f"{record.id},{label}\n")
 
 
-def load_manifest(path) -> dict[str, int]:
-    """Map each record id to its label; ids must be unique and labels 0 or 1."""
-    labels: dict[str, int] = {}
+def load_manifest(path, require_labels: bool = False) -> dict[str, int | None]:
+    """Map each record id to its label; ids must be unique and labels 0 or 1.
+
+    An empty label reads as None (unlabeled), unless ``require_labels``.
+    """
+    labels: dict[str, int | None] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -139,6 +150,11 @@ def load_manifest(path) -> dict[str, int]:
                 raise FormatError(f"{path}:{lineno}: expected 'id,label', got {line!r}")
             if rec_id in labels:
                 raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
+            if not label:
+                if require_labels:
+                    raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
+                labels[rec_id] = None
+                continue
             try:
                 labels[rec_id] = int(label)
             except ValueError:
@@ -162,7 +178,7 @@ def load_dataset(directory, split: str = "train", expected_cols: int | None = EM
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise FileNotFoundError(f"{manifest}: manifest not found")
-    labels = load_manifest(manifest)
+    labels = load_manifest(manifest, require_labels=split == "train")
     records = []
     for rec_id, label in labels.items():
         rec = load_embedding(directory / f"{rec_id}.hafe", expected_cols)

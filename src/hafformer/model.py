@@ -1,6 +1,7 @@
 """Model assembly: projection, merge hierarchy, mixer blocks, and head.
 
-The network maps a (seq_len x input_dim) frame matrix to class logits:
+The network maps a (frames x input_dim) matrix of at most seq_len frames,
+zero-extended to seq_len, to class logits:
 projection conv (same padding) down to ``d_model`` channels, then per stage
 a strided merge conv followed by the stage's blocks, then a final layer
 norm, temporal mean pooling, and a two-layer head. Checkpoints are a
@@ -251,14 +252,21 @@ class Model:
     def forward(self, x, trace: list | None = None) -> Tensor:
         """Run the network on one sequence; returns raw logits (1 x classes).
 
-        ``trace``, when given, collects the (frames, channels) shape after
-        each stage.
+        ``x`` is (frames, input_dim) with 1 <= frames <= seq_len; the frames
+        missing up to ``seq_len`` count as zero frames, so a short record
+        and its zero-padded copy give the same logits (to rounding: the
+        projection's GEMM sums in an order that depends on the row count).
+        The cast to the model's dtype and the projection's GEMMs cover the
+        given frames only; the projection's output has ``seq_len`` frames,
+        the tail rows being its bias, and everything after it, the mean pool
+        included, runs over all ``seq_len`` frames. ``trace``, when given,
+        collects the (frames, channels) shape after each stage.
         """
         cfg = self.cfg
         arr = np.asarray(x)
-        if arr.shape != (cfg.seq_len, cfg.input_dim):
+        if arr.ndim != 2 or arr.shape[1] != cfg.input_dim or not 1 <= arr.shape[0] <= cfg.seq_len:
             raise ShapeError(
-                f"input: expected {(cfg.seq_len, cfg.input_dim)}, got {arr.shape}"
+                f"input: expected {(cfg.seq_len, cfg.input_dim)} or fewer frames, got {arr.shape}"
             )
         store = self.params
         h = Tensor(arr.astype(self.dtype, copy=False), requires_grad=False)
@@ -268,6 +276,7 @@ class Model:
             store["projection.bias"],
             stride=1,
             padding=cfg.proj_kernel // 2,
+            length=cfg.seq_len,
         )
         for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
             h = conv1d(
@@ -374,7 +383,7 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
             name = _read_exact(fh, name_len, path, "name").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "shape"))
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)
             raw = _read_exact(fh, 8 * size, path, f"values of {name}")
             values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):

@@ -331,13 +331,18 @@ def conv1d(
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
+    length: int | None = None,
 ) -> Tensor:
     """Temporal convolution along the frame axis with zero padding.
 
-    ``x`` is (L, Cin), ``weight`` is (Cout, Cin/groups, k); the output has
-    floor((L + 2p - k)/s) + 1 frames. Two groupings are supported: dense
-    (groups == 1) and depthwise (groups == Cin == Cout, one input channel
-    per group); any other grouping raises ``ConfigError``.
+    ``x`` is (rows, Cin) and holds the first rows of an input of ``length``
+    frames (default: ``rows``) whose other rows are zero; ``weight`` is
+    (Cout, Cin/groups, k). The output has floor((length + 2p - k)/s) + 1
+    frames, and the gradient with respect to ``x`` has the rows of ``x``:
+    the zero tail is never materialized, and no product is taken with it.
+    Two groupings are supported: dense (groups == 1) and depthwise
+    (groups == Cin == Cout, one input channel per group); any other
+    grouping raises ``ConfigError``.
 
     Dense merge (k == stride, no padding; the model's downsampling): every
     input row meets exactly one tap, so the first lout*k rows reshape to
@@ -345,14 +350,16 @@ def conv1d(
     ``W_r`` the weight laid out as (k*Cin, Cout); ``dX = g @ W_r.T``
     reshaped back (trailing frames that no window reaches get zeros) and
     ``dW = X_r.T @ g``. Nothing is computed for taps that are not used.
+    Taken only when ``length`` is the rows of ``x``.
 
     Other dense convs (the projection): one GEMM of the input against all
     taps at once, ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight laid
     out as (k*Cout, Cin), then a strided shift-add: output row i sums
-    ``P[i*s + t - p, tap t]`` over the taps t whose input row is not
-    padding. For the skinny float64 projection (Cin = 1024, k*Cout = 24)
-    this orientation of the GEMM is the faster one. The backward pass
-    scatters the upstream gradient once into ``G_cat`` (L, k*Cout) with the
+    ``P[i*s + t - p, tap t]`` over the taps t whose input row is one of the
+    rows of ``x``; output rows that reach none of them are the bias. For
+    the skinny float64 projection (Cin = 1024, k*Cout = 24) this
+    orientation of the GEMM is the faster one. The backward pass scatters
+    the upstream gradient once into ``G_cat`` (rows, k*Cout) with the
     same index map, then ``dW = G_cat.T @ X`` (again the faster
     orientation) and ``dX = G_cat @ W_cat.T``. No padded copy of the input
     is made. Depthwise: the same index map, one scaled add per tap.
@@ -362,6 +369,9 @@ def conv1d(
     if w.ndim != 3:
         raise ShapeError(f"conv1d: weight must be 3-D (Cout, Cin/groups, k), got {w.shape}")
     L, cin = x.value.shape
+    length = L if length is None else length
+    if length < L:
+        raise ShapeError(f"conv1d: length {length} is shorter than the {L} rows given")
     cout, cpg, k = w.shape
     if stride < 1:
         raise ConfigError(f"conv1d: stride must be >= 1, got {stride}")
@@ -377,13 +387,13 @@ def conv1d(
         raise ShapeError(
             f"conv1d: weight {w.shape} does not match {cin} input channels with groups={groups}"
         )
-    if k > L + 2 * padding:
-        raise ConfigError(f"conv1d: kernel {k} exceeds padded length {L + 2 * padding}")
+    if k > length + 2 * padding:
+        raise ConfigError(f"conv1d: kernel {k} exceeds padded length {length + 2 * padding}")
     if bias is not None and bias.value.shape != (cout,):
         raise ShapeError(f"conv1d: bias shape {bias.value.shape} != ({cout},)")
 
     xv = x.value
-    lout = (L + 2 * padding - k) // stride + 1
+    lout = (length + 2 * padding - k) // stride + 1
     taps = _tap_slices(L, lout, k, stride, padding)
 
     if depthwise:
@@ -403,7 +413,7 @@ def conv1d(
                 gw[:, 0, t] = (g[out_rows] * xv[in_rows]).sum(axis=0)
             return gw
 
-    elif k == stride and padding == 0:
+    elif k == stride and padding == 0 and length == L:
         n = lout * k
         w_r = w.transpose(2, 1, 0).reshape(k * cin, cout)
         x_r = xv[:n].reshape(lout, k * cin)

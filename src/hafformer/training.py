@@ -86,7 +86,8 @@ class Metrics:
 
 
 def _prepared(record, cfg):
-    return pad_or_truncate(record.features, cfg.seq_len)
+    """The record's first ``seq_len`` frames, unpadded: ``Model.forward`` zero-extends."""
+    return pad_or_truncate(record.features, min(record.features.shape[0], cfg.seq_len))
 
 
 def evaluate(model: Model, dataset: Dataset) -> Metrics:
@@ -98,8 +99,7 @@ def evaluate(model: Model, dataset: Dataset) -> Metrics:
     n = model.cfg.num_classes
     confusion = np.zeros((n, n), dtype=int)
     for record in dataset.records:
-        logits = model.forward(_prepared(record, model.cfg))
-        pred = int(np.argmax(logits.value[0]))
+        pred = int(np.argmax(model.forward(_prepared(record, model.cfg)).value[0]))
         confusion[record.label, pred] += 1
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total
@@ -170,6 +170,7 @@ def train(
                     loss.backward(inv)
                     loss_sum += value
                     correct += int(np.argmax(logits.value[0]) == labels[idx])
+                    del logits, loss  # free this sample's graph before the next one is built
                 try:
                     adamw_step(model.params, state)
                 except OptimizationError as exc:

@@ -122,8 +122,11 @@ def ref_forward(model, x):
     def arr(name):
         return np.asarray(store[name].value, dtype=np.float64)
 
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] < cfg.seq_len:  # a short record: zero frames up to seq_len
+        x = np.pad(x, ((0, cfg.seq_len - x.shape[0]), (0, 0)))
     h = ref_conv1d(
-        np.asarray(x, dtype=np.float64),
+        x,
         arr("projection.weight"),
         arr("projection.bias"),
         padding=cfg.proj_kernel // 2,

@@ -11,7 +11,7 @@ import pytest
 
 from hafformer import cli, data, mixers
 from hafformer.mixers import ChannelMixerKind, TokenMixerKind
-from hafformer.model import ModelConfig
+from hafformer.model import ModelConfig, build_model, save_checkpoint
 from hafformer.tensor import Tensor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -107,6 +107,21 @@ def test_invalid_model_config(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", seq_len=250)  # not divisible by 16
     assert run_cli("analyze", "--config", str(cfg)) == 2
     assert "seq_len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("train", "difficulty", 0),
+        ("train", "difficulty", 1.5),
+        ("synth", "train_per_class", 0),
+        ("synth", "test_per_class", 0),
+    ],
+)
+def test_out_of_range_run_value_exits_2(tmp_path, capsys, command, key, value):
+    cfg = write_config(tmp_path / "bad.cfg", **{key: value})
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):
@@ -295,7 +310,9 @@ def test_train_files_mode_requires_data_dir(tmp_path, capsys):
     assert "--data" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("manifest", ["r1,0\nr2,1\nr1,1\n", "r1,0\nr2,2\n"], ids=["repeated-id", "label-2"])
+@pytest.mark.parametrize(
+    "manifest", ["r1,0\nr2,1\nr1,1\n", "r1,0\nr2,2\n", "r1,0\nr2,\n"], ids=["repeated-id", "label-2", "no-label"]
+)
 def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -306,6 +323,52 @@ def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):
     cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
     assert "manifest.csv:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dims", [(2**32 - 1, 2**32 - 1, 2**20), (2**20, 2**20, 2**10)], ids=["overflows-int64", "exabytes"]
+)
+def test_eval_rejects_a_checkpoint_of_impossible_size_with_exit_2(tmp_path, capsys, dims):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    path = out_dir / cli.CHECKPOINT_NAME
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"projection.weight") + len("projection.weight") + 1
+    raw[at : at + 12] = b"".join(d.to_bytes(4, "little") for d in dims)
+    path.write_bytes(bytes(raw))
+    assert run_cli("eval", "--out", str(out_dir)) == 2
+    assert "values of projection.weight" in capsys.readouterr().err
+
+
+def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    data.save_embedding(data_dir / "r1.hafe", data.EmbeddingRecord("r1", np.zeros((4, 1024), dtype=np.float32)))
+    raw = bytearray((data_dir / "r1.hafe").read_bytes())
+    raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+    (data_dir / "r1.hafe").write_bytes(bytes(raw))
+    (data_dir / data.MANIFEST_NAME).write_text("r1,0\n", encoding="utf-8")
+    assert run_cli("eval", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2
+    assert "feature values" in capsys.readouterr().err
+
+
+def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
+    records = (
+        data.EmbeddingRecord("r1", np.zeros((4, 1024), dtype=np.float32), 0),
+        data.EmbeddingRecord("r2", np.zeros((4, 1024), dtype=np.float32), None),
+    )
+    data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
+    assert run_cli("eval", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out_dir)) == 2
+    assert "'r2' has none" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

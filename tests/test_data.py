@@ -101,6 +101,16 @@ def test_trailing_bytes(tmp_path):
         load_embedding(path, expected_cols=8)
 
 
+def test_load_rejects_a_row_count_beyond_the_file(tmp_path):
+    path = tmp_path / "huge.hafe"
+    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 1024), dtype=np.float32)))
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = (2**32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError, match="feature values needs 17592186040320 bytes"):
+        load_embedding(path)
+
+
 def test_manifest_round_trip(tmp_path):
     ds = Dataset(
         (
@@ -113,6 +123,26 @@ def test_manifest_round_trip(tmp_path):
     save_manifest(path, ds)
     assert path.read_bytes() == b"a,0\nb,1\n"
     assert load_manifest(path) == {"a": 0, "b": 1}
+
+
+def test_unlabeled_records_round_trip_through_the_manifest(tmp_path):
+    ds = Dataset(
+        (
+            EmbeddingRecord("a", np.zeros((1, 1024), dtype=np.float32), 0),
+            EmbeddingRecord("b", np.ones((2, 1024), dtype=np.float32), None),
+        ),
+        "test",
+    )
+    save_dataset(tmp_path, ds)
+    assert (tmp_path / "manifest.csv").read_bytes() == b"a,0\nb,\n"
+    loaded = load_dataset(tmp_path, "test")
+    assert [(r.id, r.label, r.features.shape) for r in loaded.records] == [
+        ("a", 0, (1, 1024)),
+        ("b", None, (2, 1024)),
+    ]
+    # a train split needs every label, and says which line lacks one
+    with pytest.raises(FormatError, match=r"manifest\.csv:2: id 'b' has no label"):
+        load_dataset(tmp_path, "train")
 
 
 def test_manifest_malformed_line(tmp_path):

@@ -166,6 +166,65 @@ def test_forward_matches_straight_line_oracle_full_scale(rng):
     assert np.max(np.abs(got - expect)) < 1e-9
 
 
+def test_forward_matches_straight_line_oracle_on_a_short_record(rng):
+    model = build_model(replace(SMALL, seed=9))
+    x = rng.standard_normal((37, 16))
+    got = model.forward(x).value
+    expect = ref_forward(model, x)  # the oracle zero-pads to seq_len itself
+    assert np.max(np.abs(got - expect)) < 1e-9
+
+
+def perturb_vectors(model, rng):
+    """Give biases and norm affines random values; at their initial zeros
+    and ones the zero tail of a short record stays a constant-zero row."""
+    for name in model.params.names():
+        t = model.params[name]
+        if t.value.ndim == 1:
+            t.value = t.value + 0.1 * rng.standard_normal(t.value.shape)
+
+
+# (config, frames): one frame, one short of seq_len, exactly seq_len, and
+# records whose last frames fall inside the projection's k = 5 window
+SHORT_RECORDS = [
+    (SMALL, 1),
+    (SMALL, 63),
+    (SMALL, 64),
+    (replace(SMALL, proj_kernel=5), 62),
+    (replace(SMALL, proj_kernel=5), 30),
+    (ModelConfig(), 1999),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,frames", SHORT_RECORDS, ids=[f"k{c.proj_kernel}-{n}of{c.seq_len}" for c, n in SHORT_RECORDS]
+)
+def test_forward_on_a_short_record_matches_its_zero_padded_copy(rng, cfg, frames):
+    model = build_model(replace(cfg, seed=4))
+    perturb_vectors(model, rng)
+    x = rng.standard_normal((frames, cfg.input_dim))
+    padded = np.concatenate([x, np.zeros((cfg.seq_len - frames, cfg.input_dim))])
+    got = model.forward(x).value
+    expect = model.forward(padded).value
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_end_to_end_gradients_on_a_short_record(rng):
+    model = build_model(replace(SMALL, proj_kernel=5, seed=2))
+    perturb_vectors(model, rng)
+    x = rng.standard_normal((45, 16))
+
+    def f():
+        return cross_entropy(model.forward(x), 1)
+
+    assert grad_check(f, model.params.tensors()) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (64,), (32, 15), (32, 16, 1)])
+def test_forward_rejects_inputs_that_are_not_a_frame_matrix(shape):
+    with pytest.raises(ShapeError, match=r"expected \(64, 16\) or fewer frames"):
+        build_model(SMALL).forward(np.zeros(shape))
+
+
 def test_forward_is_deterministic(rng):
     model = build_model(ModelConfig(seed=5))
     x = rng.standard_normal((3200, 1024))
@@ -247,6 +306,22 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CorruptionError, match="trailing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2**32 - 1, 2**32 - 1, 2**20), (2**20, 2**20, 2**10)], ids=["overflows-int64", "exabytes"]
+)
+def test_checkpoint_with_an_impossible_tensor_size_is_corrupt(tmp_path, dims):
+    model = build_model(SMALL)
+    path = tmp_path / "model.hafc"
+    save_checkpoint(model, path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"projection.weight") + len("projection.weight")
+    assert raw[at] == 3
+    raw[at + 1 : at + 13] = b"".join(d.to_bytes(4, "little") for d in dims)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptionError, match="values of projection.weight"):
         load_checkpoint(path)
 
 

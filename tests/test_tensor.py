@@ -135,6 +135,45 @@ def test_conv1d_merge_shape_and_values(rng, L, k, stride, padding):
     assert np.max(np.abs(out.value - expect)) < 1e-12
 
 
+def _length_cases():
+    """(L, k, stride, padding, rows): each grid case given its first rows only."""
+    for L, k, stride, padding in CONV_GRID:
+        for rows in sorted({1, L // 2, L - 1}):
+            yield L, k, stride, padding, rows
+
+
+@pytest.mark.parametrize("L,k,stride,padding,rows", [(3200, 3, 1, 1, 1999), *_length_cases()])
+def test_conv1d_length_matches_the_zero_extended_input(rng, L, k, stride, padding, rows):
+    x = rng.standard_normal((rows, 6))
+    w = rng.standard_normal((5, 6, k))
+    b = rng.standard_normal(5)
+    out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, length=L)
+    extended = np.concatenate([x, np.zeros((L - rows, 6))])
+    expect = brute_conv1d(extended, w, b, stride=stride, padding=padding)
+    assert out.value.shape == expect.shape
+    assert np.max(np.abs(out.value - expect)) < 1e-12
+
+
+def test_conv1d_length_gradients_cover_the_given_rows_only(rng):
+    x = Tensor(rng.standard_normal((5, 3)))
+    w = Tensor(rng.standard_normal((2, 3, 3)))
+    b = Tensor(rng.standard_normal(2))
+    g = rng.standard_normal((16, 2))
+    conv1d(x, w, b, padding=1, length=16).backward(g)
+    full = Tensor(np.concatenate([x.value, np.zeros((11, 3))]))
+    w_full, b_full = Tensor(w.value), Tensor(b.value)
+    conv1d(full, w_full, b_full, padding=1).backward(g)
+    assert x.grad.shape == (5, 3)
+    assert np.max(np.abs(x.grad - full.grad[:5])) < 1e-12
+    assert np.max(np.abs(w.grad - w_full.grad)) < 1e-12
+    assert np.max(np.abs(b.grad - b_full.grad)) < 1e-12
+
+
+def test_conv1d_length_shorter_than_the_rows_is_rejected():
+    with pytest.raises(ShapeError, match="length 3"):
+        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 3))), padding=1, length=3)
+
+
 @pytest.mark.parametrize("groups,cin,cout", [(3, 4, 4), (0, 4, 4), (4, 4, 6), (2, 6, 4)])
 def test_conv1d_invalid_grouping(groups, cin, cout):
     with pytest.raises(ConfigError):
@@ -411,6 +450,18 @@ def _loss_builders(rng, rows):
             return sum_all(gelu(conv1d(matmul(lift, x), w, stride=stride, padding=padding)))
 
         builders[f"conv_L{L}_k{k}_s{stride}_p{padding}"] = (conv, [w])
+    for L, k, stride, padding in CONV_GRID:
+        # the same convs given only the first half of their input frames
+        real = max(1, L // 2)
+        lift = Tensor(rng.standard_normal((real, rows)) / math.sqrt(rows), requires_grad=False)
+        w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
+        bias = Tensor(rng.standard_normal(5))
+
+        def conv_short(x, lift=lift, w=w, bias=bias, L=L, stride=stride, padding=padding):
+            h = conv1d(matmul(lift, x), w, bias, stride=stride, padding=padding, length=L)
+            return sum_all(gelu(h))
+
+        builders[f"conv_L{L}_k{k}_s{stride}_p{padding}_length"] = (conv_short, [w, bias])
     return builders
 
 

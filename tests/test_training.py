@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from hafformer import mixers, model as model_module, training
-from hafformer.data import Dataset, EmbeddingRecord, synthesize_dataset
+from hafformer.data import Dataset, EmbeddingRecord, pad_or_truncate, synthesize_dataset
 from hafformer.errors import OptimizationError
 from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from hafformer.tensor import Tensor, grad_check
@@ -290,6 +291,45 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
         cross_entropy=samples,
         adamw_step=2,
     )
+
+
+def test_train_on_short_records_holds_no_padded_copy():
+    """800-frame records at seq_len 3200: one epoch never holds a padded input."""
+    rng = np.random.default_rng(8)
+    records = tuple(
+        EmbeddingRecord(f"r{label}", rng.standard_normal((800, 1024), dtype=np.float32), label)
+        for label in (0, 1)
+    )
+    model = build_model(ModelConfig(seed=1))
+    tracemalloc.start()
+    try:
+        train(model, Dataset(records), epochs=1, batch_size=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3200 * 1024 * 8  # one zero-padded float64 input
+
+
+def test_training_on_short_records_matches_their_zero_padded_copies():
+    ds = tiny_dataset(3, seed=6)
+    padded = Dataset(
+        tuple(
+            EmbeddingRecord(r.id, pad_or_truncate(r.features, TINY.seq_len), r.label)
+            for r in ds.records
+        )
+    )
+    assert any(r.features.shape[0] < TINY.seq_len for r in ds.records)
+    short_model, padded_model = build_model(TINY), build_model(TINY)
+    short_log = train(short_model, ds, 2, 3, 0)
+    padded_log = train(padded_model, padded, 2, 3, 0)
+    for a, b in zip(short_log, padded_log):
+        assert a["mean_loss"] == pytest.approx(b["mean_loss"], rel=1e-12)
+        assert a["train_acc"] == b["train_acc"]
+    for name in short_model.params.names():
+        want = padded_model.params[name].value
+        got = short_model.params[name].value
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(np.max(np.abs(want)), 1.0), name
+    assert evaluate(short_model, ds) == evaluate(padded_model, padded)
 
 
 def test_checkpoint_reload_preserves_metrics(tmp_path):
