@@ -183,9 +183,6 @@ REFERENCE_COSTS: dict[tuple[TokenMixerKind, ChannelMixerKind], tuple[float, floa
     (TokenMixerKind.MSDW, ChannelMixerKind.GEGLU): (3.49, 1.44),
 }
 
-# published projection figure: 3200 * 1024 * 8 * 3 MACs = 78.64M
-REFERENCE_PROJECTION_MACS_M = 78.64
-
 
 def _is_reference_config(cfg: ModelConfig) -> bool:
     """True if ``cfg`` differs from the default only in fields that cost nothing."""

@@ -85,29 +85,32 @@ def parse_run_config(path) -> RunConfig:
     model_fields: dict = {}
     run_fields: dict = {}
     hierarchy: HierarchyPreset | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw_value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key = key.strip()
-            raw_value = raw_value.strip()
-            try:
-                if key == "hierarchy":
-                    hierarchy = HierarchyPreset(raw_value)
-                elif key in _MODEL_KEYS:
-                    model_fields[key] = _MODEL_KEYS[key](raw_value)
-                elif key in _RUN_KEYS:
-                    run_fields[key] = _RUN_KEYS[key](raw_value)
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw_line in enumerate(lines, start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, raw_value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        raw_value = raw_value.strip()
+        try:
+            if key == "hierarchy":
+                hierarchy = HierarchyPreset(raw_value)
+            elif key in _MODEL_KEYS:
+                model_fields[key] = _MODEL_KEYS[key](raw_value)
+            elif key in _RUN_KEYS:
+                run_fields[key] = _RUN_KEYS[key](raw_value)
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
 
     cfg = ModelConfig()
     if hierarchy is not None:
@@ -117,6 +120,8 @@ def parse_run_config(path) -> RunConfig:
     run = RunConfig(model=cfg, **run_fields)
     if run.data_mode not in ("synthetic", "files"):
         raise ConfigError(f"{path}: data_mode must be 'synthetic' or 'files', got {run.data_mode!r}")
+    if run.data_mode == "synthetic" and cfg.input_dim != data.EMBEDDING_DIM:
+        raise ConfigError(f"{path}: synthetic mode needs input_dim {data.EMBEDDING_DIM}, got {cfg.input_dim}")
     if run.epochs < 0 or run.batch_size < 1:
         raise ConfigError(f"{path}: epochs must be >= 0 and batch_size >= 1")
     if not 0.0 < run.difficulty <= 1.0:
@@ -186,13 +191,11 @@ def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):
         coord_limit = None
     else:
         coord_limit = 4  # full-size model: deterministic coordinate subsample
-    cfg.validate()
     model = build_model(cfg)
     x = rng.standard_normal((cfg.seq_len, cfg.input_dim))
-    label = 1 if cfg.num_classes > 1 else 0
 
     def loss_fn():
-        return training.cross_entropy(model.forward(x), label)
+        return training.cross_entropy(model.forward(x), 1)
 
     return "end-to-end", loss_fn, model.params.tensors(), coord_limit
 

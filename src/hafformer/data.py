@@ -2,11 +2,12 @@
 
 Records are (frames x 1024) embedding matrices with optional binary labels
 (0 = healthy control, 1 = AD). The on-disk format (magic ``HAFE``) stores
-float32 little-endian values and round-trips bit-exactly; a label manifest
-is plain ``id,label`` lines (``id,`` when unlabeled). The synthetic
-generator stands in for the real corpus: class 1 carries a slow sinusoidal
-drift on a fixed channel subset, a long-range cue that the merge hierarchy
-can exploit and that a closed-form band-energy rule can verify.
+float32 little-endian values, kept as float32 in memory, and round-trips
+bit-exactly; a label manifest is plain ``id,label`` lines (``id,`` when
+unlabeled). The synthetic generator stands in for the real corpus: class 1
+carries a slow sinusoidal drift on a fixed channel subset, a long-range cue
+that the merge hierarchy can exploit and that a closed-form band-energy rule
+can verify.
 """
 
 from __future__ import annotations
@@ -38,15 +39,20 @@ SYNTH_MIN_FRAMES = 800
 SYNTH_MAX_FRAMES = 3200
 
 
+def _is_file_name(rec_id: str) -> bool:
+    """True if ``<rec_id>.hafe`` names a file in the dataset's own directory."""
+    return rec_id not in ("", ".", "..") and not any(c in rec_id for c in "/\\\0")
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    id: str
+    id: str  # a plain file name: a dataset stores the record as <id>.hafe
     features: np.ndarray  # (frames, channels)
     label: int | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("record id must be non-empty")
+        if not _is_file_name(self.id):
+            raise ValueError(f"record id {self.id!r} is not a plain file name")
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ValueError(f"features must be a non-empty 2-D matrix, got {self.features.shape}")
         if self.label is not None and self.label not in (0, 1):
@@ -100,8 +106,16 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return data
 
 
+def _read_utf8(fh, n: int, path, what: str) -> str:
+    """``n`` bytes from ``fh`` as UTF-8 text; bytes that are not UTF-8 are corruption."""
+    try:
+        return _read_exact(fh, n, path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"{path}: {what} is not UTF-8: {exc}") from None
+
+
 def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> EmbeddingRecord:
-    """Read one record, upcasting values to float64 working precision.
+    """Read one record; its features are a read-only float32 view of the bytes read.
 
     ``expected_cols`` guards the channel count (None disables the check).
     """
@@ -118,12 +132,13 @@ def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> Embedding
         if expected_cols is not None and cols != expected_cols:
             raise DimensionError(f"{path}: {cols} channels, expected {expected_cols}")
         (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
-        rec_id = _read_exact(fh, id_len, path, "id").decode("utf-8")
+        rec_id = _read_utf8(fh, id_len, path, "id")
+        if not _is_file_name(rec_id):
+            raise CorruptionError(f"{path}: record id {rec_id!r} is not a plain file name")
         raw = _read_exact(fh, 4 * rows * cols, path, "feature values")
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after feature payload")
-    features = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    return EmbeddingRecord(rec_id, features)
+    return EmbeddingRecord(rec_id, np.frombuffer(raw, dtype="<f4").reshape(rows, cols))
 
 
 def save_manifest(path, dataset: Dataset) -> None:
@@ -135,32 +150,36 @@ def save_manifest(path, dataset: Dataset) -> None:
 
 
 def load_manifest(path, require_labels: bool = False) -> dict[str, int | None]:
-    """Map each record id to its label; ids must be unique and labels 0 or 1.
+    """Map each record id to its label; ids must be unique file names, labels 0 or 1.
 
     An empty label reads as None (unlabeled), unless ``require_labels``.
     """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     labels: dict[str, int | None] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rec_id, sep, label = line.rpartition(",")
-            if not sep or not rec_id:
-                raise FormatError(f"{path}:{lineno}: expected 'id,label', got {line!r}")
-            if rec_id in labels:
-                raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
-            if not label:
-                if require_labels:
-                    raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
-                labels[rec_id] = None
-                continue
-            try:
-                labels[rec_id] = int(label)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: label {label!r} is not an integer") from None
-            if labels[rec_id] not in (0, 1):
-                raise FormatError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        rec_id, sep, label = line.rpartition(",")
+        if not sep or not rec_id:
+            raise FormatError(f"{path}:{lineno}: expected 'id,label', got {line!r}")
+        if not _is_file_name(rec_id):
+            raise FormatError(f"{path}:{lineno}: id {rec_id!r} is not a plain file name")
+        if rec_id in labels:
+            raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
+        if not label:
+            if require_labels:
+                raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
+            labels[rec_id] = None
+            continue
+        try:
+            labels[rec_id] = int(label)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: label {label!r} is not an integer") from None
+        if labels[rec_id] not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
     return labels
 
 
@@ -174,6 +193,7 @@ def save_dataset(directory, dataset: Dataset) -> None:
 
 
 def load_dataset(directory, split: str = "train", expected_cols: int | None = EMBEDDING_DIM) -> Dataset:
+    """Read the manifest, then ``<id>.hafe``, which must hold that id, for each id in it."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -181,8 +201,11 @@ def load_dataset(directory, split: str = "train", expected_cols: int | None = EM
     labels = load_manifest(manifest, require_labels=split == "train")
     records = []
     for rec_id, label in labels.items():
-        rec = load_embedding(directory / f"{rec_id}.hafe", expected_cols)
-        records.append(EmbeddingRecord(rec.id, rec.features, label))
+        path = directory / f"{rec_id}.hafe"
+        rec = load_embedding(path, expected_cols)
+        if rec.id != rec_id:
+            raise CorruptionError(f"{path}: holds record id {rec.id!r}, the manifest lists {rec_id!r}")
+        records.append(EmbeddingRecord(rec_id, rec.features, label))
     return Dataset(tuple(records), split)
 
 

@@ -37,7 +37,6 @@ POOL_KERNEL = 3
 ISC_EXPANSION = 2
 GEGLU_EXPANSION = 2
 FFN_EXPANSION = 4
-LN_EPS = 1e-5
 
 
 class TokenMixerKind(str, Enum):
@@ -122,10 +121,9 @@ def token_mix(
     gamma: Tensor,
     beta: Tensor,
     x: Tensor,
-    eps: float = LN_EPS,
 ) -> Tensor:
     """Pre-norm residual token sublayer: Mix(LN(x)) + x along the frame axis."""
-    z = layer_norm(x, gamma, beta, eps)
+    z = layer_norm(x, gamma, beta)
     if kind == TokenMixerKind.SELF_ATTENTION:
         d = x.value.shape[1]
         q = add_bias(matmul(z, params["wq"]), params["bq"])
@@ -169,11 +167,10 @@ def channel_mix(
     gamma: Tensor,
     beta: Tensor,
     x: Tensor,
-    eps: float = LN_EPS,
     residual: bool = True,
 ) -> Tensor:
     """Pre-norm channel sublayer: Mix(LN(x)) (+ x) along the feature axis."""
-    z = layer_norm(x, gamma, beta, eps)
+    z = layer_norm(x, gamma, beta)
     if kind == ChannelMixerKind.FFN:
         hidden = gelu(add_bias(matmul(z, params["w_in"]), params["b_in"]))
         out = add_bias(matmul(hidden, params["w_out"]), params["b_out"])
@@ -214,7 +211,6 @@ def afformer_block(
     channel_kind: ChannelMixerKind,
     params: BlockParams,
     x: Tensor,
-    eps: float = LN_EPS,
     channel_residual: bool = True,
 ) -> Tensor:
     """Token sublayer followed by channel sublayer; shape preserving."""
@@ -225,16 +221,9 @@ def afformer_block(
             RuntimeWarning,
             stacklevel=2,
         )
-    h = token_mix(token_kind, params.token, params.token_gamma, params.token_beta, x, eps)
-    return channel_mix(
-        channel_kind,
-        params.channel,
-        params.channel_gamma,
-        params.channel_beta,
-        h,
-        eps,
-        residual=channel_residual,
-    )
+    h = token_mix(token_kind, params.token, params.token_gamma, params.token_beta, x)
+    gamma, beta = params.channel_gamma, params.channel_beta
+    return channel_mix(channel_kind, params.channel, gamma, beta, h, residual=channel_residual)
 
 
 def random_block_params(

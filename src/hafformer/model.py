@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import _read_exact
+from .data import _read_exact, _read_utf8
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
 from .mixers import (
     BlockParams,
@@ -163,8 +163,8 @@ def _fan_in(shape: tuple[int, ...]) -> int:
     raise ConfigError(f"no fan-in convention for shape {shape}")
 
 
-def build_model(cfg: ModelConfig, dtype=np.float64) -> "Model":
-    """Allocate and initialize all parameters for ``cfg``.
+def build_model(cfg: ModelConfig) -> "Model":
+    """Allocate and initialize all float64 parameters for ``cfg``.
 
     Weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from a
     counter-based Philox stream keyed by ``cfg.seed`` in declaration order;
@@ -177,39 +177,32 @@ def build_model(cfg: ModelConfig, dtype=np.float64) -> "Model":
 
     def uniform(shape):
         bound = 1.0 / math.sqrt(_fan_in(shape))
-        return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
-
-    def zeros(shape):
-        return np.zeros(shape, dtype=dtype)
-
-    def ones(shape):
-        return np.ones(shape, dtype=dtype)
+        return rng.uniform(-bound, bound, size=shape)
 
     def add_mixer(prefix, shapes):
         for name, shape in shapes.items():
-            init = zeros(shape) if len(shape) == 1 else uniform(shape)
-            store.add(f"{prefix}.{name}", init)
+            store.add(f"{prefix}.{name}", np.zeros(shape) if len(shape) == 1 else uniform(shape))
 
     store.add("projection.weight", uniform((d, cfg.input_dim, cfg.proj_kernel)))
-    store.add("projection.bias", zeros((d,)))
+    store.add("projection.bias", np.zeros((d,)))
     for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
         store.add(f"stage{s}.merge.weight", uniform((d, d, factor)))
-        store.add(f"stage{s}.merge.bias", zeros((d,)))
+        store.add(f"stage{s}.merge.bias", np.zeros((d,)))
         for b in range(depth):
             prefix = f"stage{s}.block{b}"
-            store.add(f"{prefix}.token_norm.gamma", ones((d,)))
-            store.add(f"{prefix}.token_norm.beta", zeros((d,)))
+            store.add(f"{prefix}.token_norm.gamma", np.ones((d,)))
+            store.add(f"{prefix}.token_norm.beta", np.zeros((d,)))
             add_mixer(f"{prefix}.token", token_param_shapes(cfg.token_mixer, d))
-            store.add(f"{prefix}.channel_norm.gamma", ones((d,)))
-            store.add(f"{prefix}.channel_norm.beta", zeros((d,)))
+            store.add(f"{prefix}.channel_norm.gamma", np.ones((d,)))
+            store.add(f"{prefix}.channel_norm.beta", np.zeros((d,)))
             add_mixer(f"{prefix}.channel", channel_param_shapes(cfg.channel_mixer, d))
-    store.add("final_norm.gamma", ones((d,)))
-    store.add("final_norm.beta", zeros((d,)))
+    store.add("final_norm.gamma", np.ones((d,)))
+    store.add("final_norm.beta", np.zeros((d,)))
     store.add("head.fc1.weight", uniform((d, cfg.head_hidden)))
-    store.add("head.fc1.bias", zeros((cfg.head_hidden,)))
+    store.add("head.fc1.bias", np.zeros((cfg.head_hidden,)))
     store.add("head.fc2.weight", uniform((cfg.head_hidden, cfg.num_classes)))
-    store.add("head.fc2.bias", zeros((cfg.num_classes,)))
-    return Model(cfg, store, dtype)
+    store.add("head.fc2.bias", np.zeros((cfg.num_classes,)))
+    return Model(cfg, store)
 
 
 @dataclass
@@ -218,16 +211,12 @@ class Model:
 
     cfg: ModelConfig
     params: ParameterStore
-    dtype: type = np.float64
 
     def __post_init__(self):
         self._blocks: dict[tuple[int, int], BlockParams] = {}
-        try:
-            for s, depth in enumerate(self.cfg.stage_depths):
-                for b in range(depth):
-                    self._blocks[(s, b)] = self._wire_block(s, b)
-        except KeyError as exc:
-            raise FormatError(f"parameter store is missing {exc.args[0]}") from None
+        for s, depth in enumerate(self.cfg.stage_depths):
+            for b in range(depth):
+                self._blocks[(s, b)] = self._wire_block(s, b)
 
     def _wire_block(self, s: int, b: int) -> BlockParams:
         store, d = self.params, self.cfg.d_model
@@ -256,11 +245,12 @@ class Model:
         missing up to ``seq_len`` count as zero frames, so a short record
         and its zero-padded copy give the same logits (to rounding: the
         projection's GEMM sums in an order that depends on the row count).
-        The cast to the model's dtype and the projection's GEMMs cover the
-        given frames only; the projection's output has ``seq_len`` frames,
-        the tail rows being its bias, and everything after it, the mean pool
-        included, runs over all ``seq_len`` frames. ``trace``, when given,
-        collects the (frames, channels) shape after each stage.
+        The one cast of the program, float32 records to float64, is here and
+        covers the given frames only, as do the projection's GEMMs; the
+        projection's output has ``seq_len`` frames, the tail rows being its
+        bias, and everything after it, the mean pool included, runs over all
+        ``seq_len`` frames. ``trace``, when given, collects the (frames,
+        channels) shape after each stage.
         """
         cfg = self.cfg
         arr = np.asarray(x)
@@ -269,7 +259,7 @@ class Model:
                 f"input: expected {(cfg.seq_len, cfg.input_dim)} or fewer frames, got {arr.shape}"
             )
         store = self.params
-        h = Tensor(arr.astype(self.dtype, copy=False), requires_grad=False)
+        h = Tensor(arr.astype(np.float64, copy=False), requires_grad=False)
         h = conv1d(
             h,
             store["projection.weight"],
@@ -361,8 +351,11 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, dtype=np.float64) -> Model:
-    """Inverse of ``save_checkpoint``; round-trips bit-exactly."""
+def load_checkpoint(path) -> Model:
+    """Inverse of ``save_checkpoint``; round-trips bit-exactly.
+
+    Each parameter gets its own writable float64 copy of the bytes read.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -372,24 +365,22 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "config length"))
         try:
-            payload = json.loads(_read_exact(fh, cfg_len, path, "config").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.loads(_read_utf8(fh, cfg_len, path, "config"))
+        except json.JSONDecodeError as exc:
             raise CorruptionError(f"{path}: unreadable config block: {exc}") from None
         cfg = _config_from_dict(payload)
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path, "parameter count"))
-        values: dict[str, np.ndarray] = {}
+        values: dict[str, tuple[tuple[int, ...], bytes]] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "name length"))
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
+            name = _read_utf8(fh, name_len, path, "parameter name")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "shape"))
-            size = math.prod(shape)
-            raw = _read_exact(fh, 8 * size, path, f"values of {name}")
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            values[name] = shape, _read_exact(fh, 8 * math.prod(shape), path, f"values of {name}")
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after last parameter")
 
-    model = build_model(cfg, dtype=dtype)
+    model = build_model(cfg)
     expected = set(model.params.names())
     if set(values) != expected:
         raise FormatError(
@@ -397,12 +388,9 @@ def load_checkpoint(path, dtype=np.float64) -> Model:
             f"missing {sorted(expected - set(values))}, "
             f"unexpected {sorted(set(values) - expected)}"
         )
-    for name, arr in values.items():
+    for name, (shape, raw) in values.items():
         tensor = model.params[name]
-        if arr.shape != tensor.value.shape:
-            raise FormatError(
-                f"{path}: parameter {name} has shape {arr.shape}, "
-                f"expected {tensor.value.shape}"
-            )
-        tensor.value = arr.astype(dtype)
+        if shape != tensor.value.shape:
+            raise FormatError(f"{path}: parameter {name} has shape {shape}, expected {tensor.value.shape}")
+        tensor.value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     return model

@@ -1,12 +1,12 @@
 """Reverse-mode autodiff over dense 2-D frame matrices.
 
-Activations are (frames x channels) arrays, float64 in the reference
-configuration (float32 is available as an opt-in mode). Parameters may be
-1-D (biases, norm affines) or 3-D (conv kernels); a gradient always has the
-shape of its value. Each primitive returns a new graph node carrying one
-vector-Jacobian closure per parent; ``Tensor.backward`` visits every node
-exactly once in reverse topological order, parents in declaration order, so
-gradient accumulation is bit-deterministic. No primitive mutates its inputs.
+Activations are (frames x channels) float64 arrays; ``Model.forward`` casts
+its float32 input once. Parameters may be 1-D (biases, norm affines) or 3-D
+(conv kernels); a gradient always has the shape of its value. Each primitive
+returns a new graph node carrying one vector-Jacobian closure per parent;
+``Tensor.backward`` visits every node exactly once in reverse topological
+order, parents in declaration order, so gradient accumulation is
+bit-deterministic. No primitive mutates its inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericError, ShapeError
 
 GELU_TANH_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_TANH_C1 = 0.044715
+LN_EPS = 1e-5  # added to the variance in every layer norm
 
 
 class Tensor:
@@ -177,7 +178,7 @@ def gelu(x: Tensor) -> Tensor:
 # normalization / attention helpers
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row standardization across channels, then affine gamma/beta.
 
     Two-pass: each row is centred once and the variance is the mean square
@@ -191,11 +192,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: affine shapes {gamma.value.shape}/{beta.value.shape} "
             f"do not match {cols} channels"
         )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm: eps must be positive, got {eps}")
     v = x.value
     xc = v - v.mean(axis=1, keepdims=True)
-    ivar = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    ivar = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
     xhat = xc * ivar
     out = xhat * gamma.value + beta.value
 

@@ -357,6 +357,57 @@ def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, caps
     assert "feature values" in capsys.readouterr().err
 
 
+def write_embedding_with_raw_id(path: Path, raw_id: bytes) -> None:
+    data.save_embedding(path, data.EmbeddingRecord("x", np.zeros((64, 1024), dtype=np.float32)))
+    raw = path.read_bytes()  # 16 header bytes, the id length, the id "x", the values
+    path.write_bytes(raw[:16] + len(raw_id).to_bytes(2, "little") + raw_id + raw[19:])
+
+
+@pytest.mark.parametrize(
+    "manifest,ids,message",
+    [
+        (b"r1,0\n", {"r1": b""}, "record id '' is not a plain file name"),
+        (b"r1,0\n", {"r1": b"\xff"}, "id is not UTF-8"),
+        (b"r1,0\n\xff,1\n", {"r1": b"r1"}, "manifest.csv: not UTF-8"),
+        (b"r1,0\n../outside,1\n", {"r1": b"r1", "../outside": b"outside"}, "is not a plain file name"),
+        (b"r1,0\nr2,1\n", {"r1": b"r1", "r2": b"r1"}, "holds record id 'r1', the manifest lists 'r2'"),
+    ],
+    ids=["empty-id", "id-not-utf8", "manifest-not-utf8", "id-escapes-the-directory", "id-differs-from-manifest"],
+)
+def test_train_rejects_bad_text_and_ids_in_a_dataset_with_exit_2(tmp_path, capsys, manifest, ids, message):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name, raw_id in ids.items():
+        write_embedding_with_raw_id(data_dir / f"{name}.hafe", raw_id)
+    (data_dir / data.MANIFEST_NAME).write_bytes(manifest)
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_eval_rejects_a_parameter_name_that_is_not_utf8_with_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    path = out_dir / cli.CHECKPOINT_NAME
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), path)
+    path.write_bytes(path.read_bytes().replace(b"projection.weight", b"\xffrojection.weight"))
+    assert run_cli("eval", "--out", str(out_dir)) == 2
+    assert "parameter name is not UTF-8" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seq_len = 64\n# \xff\n")
+    assert run_cli("analyze", "--config", str(path)) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_synthetic_mode_with_another_input_width_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", input_dim=16, epochs=1)
+    assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "needs input_dim 1024, got 16" in capsys.readouterr().err
+
+
 def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", data_mode="files")
     out_dir = tmp_path / "run"

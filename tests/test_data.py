@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from hafformer.data import (
     save_manifest,
     synthesize_dataset,
 )
-from hafformer.errors import CorruptionError, DimensionError, FormatError
+from hafformer.errors import ConfigError, CorruptionError, DimensionError, FormatError
+from hafformer.mixers import ChannelMixerKind, TokenMixerKind
+from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +37,8 @@ def test_load_well_formed_file(tmp_path, rng):
     rec = load_embedding(path)
     assert rec.id == "speaker-01"
     assert rec.features.shape == (2, 1024)
-    assert rec.features.dtype == np.float64
-    assert np.array_equal(rec.features.astype(np.float32), features)
+    assert rec.features.dtype == np.float32
+    assert rec.features.tobytes() == features.tobytes()  # bit-equal, no upcast
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,6 +105,20 @@ def test_trailing_bytes(tmp_path):
         load_embedding(path, expected_cols=8)
 
 
+@pytest.mark.parametrize(
+    "raw_id,message",
+    [(b"", "record id '' is not a plain file name"), (b"a/b", "'a/b' is not a plain"), (b"\xffx", "id is not UTF-8")],
+)
+def test_load_rejects_an_id_that_is_not_a_utf8_file_name(tmp_path, raw_id, message):
+    path = tmp_path / "id.hafe"
+    save_embedding(path, EmbeddingRecord("x", np.ones((2, 4), dtype=np.float32)))
+    raw = path.read_bytes()
+    header, payload = raw[:16], raw[16 + 2 + 1 :]  # drop the id length and the one-byte id
+    path.write_bytes(header + len(raw_id).to_bytes(2, "little") + raw_id + payload)
+    with pytest.raises(CorruptionError, match=message):
+        load_embedding(path, expected_cols=4)
+
+
 def test_load_rejects_a_row_count_beyond_the_file(tmp_path):
     path = tmp_path / "huge.hafe"
     save_embedding(path, EmbeddingRecord("x", np.zeros((2, 1024), dtype=np.float32)))
@@ -109,6 +127,70 @@ def test_load_rejects_a_row_count_beyond_the_file(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptionError, match="feature values needs 17592186040320 bytes"):
         load_embedding(path)
+
+
+def test_loading_a_dataset_allocates_about_its_payload(tmp_path, rng):
+    records = tuple(
+        EmbeddingRecord(f"r{i}", rng.standard_normal((rows, 1024)).astype(np.float32), 0)
+        for i, rows in enumerate((300, 500, 700))
+    )
+    save_dataset(tmp_path, Dataset(records, "test"))
+    payload = sum(r.features.nbytes for r in records)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(tmp_path, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * payload  # a float64 copy of each record would be 2x on its own
+    assert all(r.features.dtype == np.float32 for r in loaded.records)
+
+
+def damaged(raw: bytes):
+    """``raw`` with one byte replaced, or cut short: never longer, so no
+    header can ask for more than the file holds."""
+    replaced = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)).map(
+        lambda at: raw[: at[0]] + bytes([at[1]]) + raw[at[0] + 1 :]
+    )
+    return st.one_of(replaced, st.integers(0, len(raw) - 1).map(lambda n: raw[:n]))
+
+
+def write_small_embedding(path):
+    save_embedding(path, EmbeddingRecord("rec", np.arange(12, dtype=np.float32).reshape(3, 4)))
+
+
+# every parameter has one or two values, so most of the file is headers and names
+TINY_MODEL = ModelConfig(
+    input_dim=2,
+    seq_len=4,
+    d_model=1,
+    proj_kernel=1,
+    stage_factors=(2,),
+    stage_depths=(1,),
+    token_mixer=TokenMixerKind.IDENTITY,
+    channel_mixer=ChannelMixerKind.IDENTITY,
+    head_hidden=1,
+)
+
+
+@pytest.mark.parametrize(
+    "write,load",
+    [
+        (write_small_embedding, lambda path: load_embedding(path, expected_cols=4)),
+        (lambda path: save_checkpoint(build_model(TINY_MODEL), path), load_checkpoint),
+    ],
+    ids=["hafe", "hafc"],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_damaged_file_raises_only_documented_errors(tmp_path_factory, write, load, data):
+    path = tmp_path_factory.mktemp("damaged") / "file"
+    write(path)
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    try:
+        load(path)
+    except (FormatError, CorruptionError, DimensionError, ConfigError):
+        pass
 
 
 def test_manifest_round_trip(tmp_path):
@@ -165,6 +247,33 @@ def test_manifest_rejects_repeated_ids_and_labels_outside_0_1(tmp_path, text, me
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match=message):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("rec_id", ["../outside", "a/b", "a\\b", ".", "..", "a\0b"])
+def test_manifest_ids_must_be_plain_file_names(tmp_path, rec_id):
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"a,0\n{rec_id},1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=":2: id .* is not a plain file name"):
+        load_manifest(path)
+    # nor can a record carry one, so save_dataset never writes outside its directory
+    with pytest.raises(ValueError, match="not a plain file name"):
+        EmbeddingRecord(rec_id, np.zeros((1, 4), dtype=np.float32), 0)
+
+
+def test_manifest_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_bytes(b"a,0\n\xff,1\n")
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_manifest(path)
+
+
+def test_load_dataset_requires_the_file_id_to_match_the_manifest(tmp_path):
+    features = np.zeros((1, 1024), dtype=np.float32)
+    save_embedding(tmp_path / "a.hafe", EmbeddingRecord("a", features))
+    save_embedding(tmp_path / "b.hafe", EmbeddingRecord("a", features))
+    (tmp_path / "manifest.csv").write_text("a,0\nb,1\n", encoding="utf-8")
+    with pytest.raises(CorruptionError, match="b.hafe: holds record id 'a', the manifest lists 'b'"):
+        load_dataset(tmp_path, "train")
 
 
 def test_dataset_directory_round_trip(tmp_path, rng):

@@ -231,10 +231,20 @@ def test_forward_is_deterministic(rng):
     assert np.array_equal(model.forward(x).value, model.forward(x).value)
 
 
-def test_float32_mode(rng):
-    model = build_model(SMALL, dtype=np.float32)
-    out = model.forward(rng.standard_normal((64, 16)))
-    assert out.value.dtype == np.float32
+def test_float32_record_and_its_float64_copy_give_identical_results(rng):
+    model = build_model(replace(SMALL, seed=3))
+    x32 = rng.standard_normal((40, 16)).astype(np.float32)
+    results = []
+    for x in (x32, x32.astype(np.float64)):
+        model.params.zero_grad()
+        logits = model.forward(x)
+        cross_entropy(logits, 1).backward()
+        results.append((logits.value, {name: t.grad for name, t in model.params.items()}))
+    (logits32, grads32), (logits64, grads64) = results
+    assert logits32.dtype == np.float64
+    assert np.array_equal(logits32, logits64)
+    for name, grad in grads32.items():
+        assert grad.dtype == np.float64 and np.array_equal(grad, grads64[name]), name
 
 
 def test_end_to_end_gradients_shrunken_model(rng):
@@ -258,7 +268,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     loaded = load_checkpoint(path)
     assert loaded.cfg == model.cfg
     for name in model.params.names():
-        assert np.array_equal(loaded.params[name].value, model.params[name].value), name
+        value = loaded.params[name].value
+        assert np.array_equal(value, model.params[name].value), name
+        assert value.dtype == np.float64 and value.flags.writeable, name
     # saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "again.hafc"
     save_checkpoint(loaded, path2)
@@ -322,6 +334,18 @@ def test_checkpoint_with_an_impossible_tensor_size_is_corrupt(tmp_path, dims):
     raw[at + 1 : at + 13] = b"".join(d.to_bytes(4, "little") for d in dims)
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptionError, match="values of projection.weight"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_rank_numpy_cannot_hold_is_rejected(tmp_path):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(SMALL), path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"projection.bias") + len("projection.bias")
+    assert raw[at] == 1
+    raw[at] = 65  # the bias's zero values now read as zero dims: 0 values of rank 65
+    path.write_bytes(bytes(raw))
+    with pytest.raises((CorruptionError, FormatError)):
         load_checkpoint(path)
 
 
