@@ -25,6 +25,7 @@ EMBEDDING_MAGIC = b"HAFE"
 EMBEDDING_VERSION = 1
 EMBEDDING_DIM = 1024
 MANIFEST_NAME = "manifest.csv"
+FINITE_CHECK_VALUES = 1 << 16  # feature values per block of the load-time finiteness check
 
 # synthetic-cue constants: class 1 adds difficulty * sin(2*pi*t/CUE_PERIOD + phase)
 # to CUE_CHANNELS. The subset is fixed (independent of the dataset seed) so
@@ -117,7 +118,8 @@ def _read_utf8(fh, n: int, path, what: str) -> str:
 def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> EmbeddingRecord:
     """Read one record; its features are a read-only float32 view of the bytes read.
 
-    ``expected_cols`` guards the channel count (None disables the check).
+    ``expected_cols`` guards the channel count (None disables the check). A
+    NaN or infinite feature value is corruption.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -138,7 +140,11 @@ def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> Embedding
         raw = _read_exact(fh, 4 * rows * cols, path, "feature values")
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after feature payload")
-    return EmbeddingRecord(rec_id, np.frombuffer(raw, dtype="<f4").reshape(rows, cols))
+    features = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
+    step = max(1, FINITE_CHECK_VALUES // cols)  # rows per block: the check's mask stays small
+    if not all(np.isfinite(features[i : i + step]).all() for i in range(0, rows, step)):
+        raise CorruptionError(f"{path}: feature values include NaN or infinity")
+    return EmbeddingRecord(rec_id, features)
 
 
 def save_manifest(path, dataset: Dataset) -> None:
@@ -193,7 +199,7 @@ def save_dataset(directory, dataset: Dataset) -> None:
 
 
 def load_dataset(directory, split: str = "train", expected_cols: int | None = EMBEDDING_DIM) -> Dataset:
-    """Read the manifest, then ``<id>.hafe``, which must hold that id, for each id in it."""
+    """Read the manifest, then ``<id>.hafe``, which must exist and hold that id, for each id in it."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -202,7 +208,10 @@ def load_dataset(directory, split: str = "train", expected_cols: int | None = EM
     records = []
     for rec_id, label in labels.items():
         path = directory / f"{rec_id}.hafe"
-        rec = load_embedding(path, expected_cols)
+        try:
+            rec = load_embedding(path, expected_cols)
+        except FileNotFoundError:
+            raise FormatError(f"{manifest}: lists {rec_id!r}, but {path} does not exist") from None
         if rec.id != rec_id:
             raise CorruptionError(f"{path}: holds record id {rec.id!r}, the manifest lists {rec_id!r}")
         records.append(EmbeddingRecord(rec_id, rec.features, label))

@@ -1,7 +1,8 @@
 """Token and channel mixers plus the block that composes one of each.
 
 Every mixer is a pre-norm residual sublayer: Y = Mix(LN(X)) + X. Token
-mixers act along the frame axis, channel mixers along the feature axis.
+mixers act along the frame axis (-2), channel mixers along the feature
+axis (-1); a leading batch axis passes through.
 Parameter bundles are plain name -> Tensor mappings whose layouts are
 declared here so model assembly and cost accounting stay in sync.
 """
@@ -20,6 +21,7 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
+    add_centre_tap,
     avg_pool_channels,
     avg_pool_time,
     conv1d,
@@ -125,7 +127,7 @@ def token_mix(
     """Pre-norm residual token sublayer: Mix(LN(x)) + x along the frame axis."""
     z = layer_norm(x, gamma, beta)
     if kind == TokenMixerKind.SELF_ATTENTION:
-        d = x.value.shape[1]
+        d = x.value.shape[-1]
         q = add_bias(matmul(z, params["wq"]), params["bq"])
         k = add_bias(matmul(z, params["wk"]), params["bk"])
         v = add_bias(matmul(z, params["wv"]), params["bv"])
@@ -143,19 +145,19 @@ def token_mix(
                 params["depthwise"],
                 stride=1,
                 padding=DW_KERNEL // 2,
-                groups=hidden.value.shape[1],
+                groups=hidden.value.shape[-1],
             )
         )
         out = matmul(hidden, params["project"])
     elif kind == TokenMixerKind.DW:
         out = conv1d(
-            z, params["depthwise"], stride=1, padding=DW_KERNEL // 2, groups=z.value.shape[1]
+            z, params["depthwise"], stride=1, padding=DW_KERNEL // 2, groups=z.value.shape[-1]
         )
     elif kind == TokenMixerKind.MSDW:
-        d = z.value.shape[1]
-        wide = conv1d(z, params["depthwise7"], stride=1, padding=DW_KERNEL // 2, groups=d)
-        narrow = conv1d(z, params["depthwise1"], stride=1, padding=0, groups=d)
-        out = gelu(add(wide, narrow))
+        # the k=1 branch reads the same rows as the centre tap of the k=7 one,
+        # so the two branches are one depthwise conv with the kernels summed
+        kernel = add_centre_tap(params["depthwise7"], params["depthwise1"])
+        out = gelu(conv1d(z, kernel, stride=1, padding=DW_KERNEL // 2, groups=z.value.shape[-1]))
     else:
         raise ConfigError(f"unknown token mixer kind: {kind}")
     return add(out, x)
@@ -214,9 +216,9 @@ def afformer_block(
     channel_residual: bool = True,
 ) -> Tensor:
     """Token sublayer followed by channel sublayer; shape preserving."""
-    if token_kind in CONV_TOKEN_KINDS and x.value.shape[0] < DW_KERNEL:
+    if token_kind in CONV_TOKEN_KINDS and x.value.shape[-2] < DW_KERNEL:
         warnings.warn(
-            f"block input has {x.value.shape[0]} frames, below the depthwise kernel "
+            f"block input has {x.value.shape[-2]} frames, below the depthwise kernel "
             f"{DW_KERNEL}; zero padding dominates the receptive field",
             RuntimeWarning,
             stacklevel=2,

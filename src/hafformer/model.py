@@ -1,7 +1,7 @@
 """Model assembly: projection, merge hierarchy, mixer blocks, and head.
 
 The network maps a (frames x input_dim) matrix of at most seq_len frames,
-zero-extended to seq_len, to class logits:
+zero-extended to seq_len, or a batch of them, to class logits:
 projection conv (same padding) down to ``d_model`` channels, then per stage
 a strided merge conv followed by the stage's blocks, then a final layer
 norm, temporal mean pooling, and a two-layer head. Checkpoints are a
@@ -163,6 +163,36 @@ def _fan_in(shape: tuple[int, ...]) -> int:
     raise ConfigError(f"no fan-in convention for shape {shape}")
 
 
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in declaration order: the one layout
+    that ``build_model`` allocates and ``load_checkpoint`` checks files against."""
+    d = cfg.d_model
+    shapes: dict[str, tuple[int, ...]] = {
+        "projection.weight": (d, cfg.input_dim, cfg.proj_kernel),
+        "projection.bias": (d,),
+    }
+    for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
+        shapes[f"stage{s}.merge.weight"] = (d, d, factor)
+        shapes[f"stage{s}.merge.bias"] = (d,)
+        for b in range(depth):
+            prefix = f"stage{s}.block{b}"
+            shapes[f"{prefix}.token_norm.gamma"] = (d,)
+            shapes[f"{prefix}.token_norm.beta"] = (d,)
+            for name, shape in token_param_shapes(cfg.token_mixer, d).items():
+                shapes[f"{prefix}.token.{name}"] = shape
+            shapes[f"{prefix}.channel_norm.gamma"] = (d,)
+            shapes[f"{prefix}.channel_norm.beta"] = (d,)
+            for name, shape in channel_param_shapes(cfg.channel_mixer, d).items():
+                shapes[f"{prefix}.channel.{name}"] = shape
+    shapes["final_norm.gamma"] = (d,)
+    shapes["final_norm.beta"] = (d,)
+    shapes["head.fc1.weight"] = (d, cfg.head_hidden)
+    shapes["head.fc1.bias"] = (cfg.head_hidden,)
+    shapes["head.fc2.weight"] = (cfg.head_hidden, cfg.num_classes)
+    shapes["head.fc2.bias"] = (cfg.num_classes,)
+    return shapes
+
+
 def build_model(cfg: ModelConfig) -> "Model":
     """Allocate and initialize all float64 parameters for ``cfg``.
 
@@ -173,35 +203,15 @@ def build_model(cfg: ModelConfig) -> "Model":
     cfg.validate()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     store = ParameterStore()
-    d = cfg.d_model
-
-    def uniform(shape):
-        bound = 1.0 / math.sqrt(_fan_in(shape))
-        return rng.uniform(-bound, bound, size=shape)
-
-    def add_mixer(prefix, shapes):
-        for name, shape in shapes.items():
-            store.add(f"{prefix}.{name}", np.zeros(shape) if len(shape) == 1 else uniform(shape))
-
-    store.add("projection.weight", uniform((d, cfg.input_dim, cfg.proj_kernel)))
-    store.add("projection.bias", np.zeros((d,)))
-    for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
-        store.add(f"stage{s}.merge.weight", uniform((d, d, factor)))
-        store.add(f"stage{s}.merge.bias", np.zeros((d,)))
-        for b in range(depth):
-            prefix = f"stage{s}.block{b}"
-            store.add(f"{prefix}.token_norm.gamma", np.ones((d,)))
-            store.add(f"{prefix}.token_norm.beta", np.zeros((d,)))
-            add_mixer(f"{prefix}.token", token_param_shapes(cfg.token_mixer, d))
-            store.add(f"{prefix}.channel_norm.gamma", np.ones((d,)))
-            store.add(f"{prefix}.channel_norm.beta", np.zeros((d,)))
-            add_mixer(f"{prefix}.channel", channel_param_shapes(cfg.channel_mixer, d))
-    store.add("final_norm.gamma", np.ones((d,)))
-    store.add("final_norm.beta", np.zeros((d,)))
-    store.add("head.fc1.weight", uniform((d, cfg.head_hidden)))
-    store.add("head.fc1.bias", np.zeros((cfg.head_hidden,)))
-    store.add("head.fc2.weight", uniform((cfg.head_hidden, cfg.num_classes)))
-    store.add("head.fc2.bias", np.zeros((cfg.num_classes,)))
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith(".gamma"):
+            value = np.ones(shape)
+        elif len(shape) == 1:
+            value = np.zeros(shape)
+        else:
+            bound = 1.0 / math.sqrt(_fan_in(shape))
+            value = rng.uniform(-bound, bound, size=shape)
+        store.add(name, value)
     return Model(cfg, store)
 
 
@@ -239,29 +249,34 @@ class Model:
         )
 
     def forward(self, x, trace: list | None = None) -> Tensor:
-        """Run the network on one sequence; returns raw logits (1 x classes).
+        """Run the network on one record or a batch; returns raw logits.
 
-        ``x`` is (frames, input_dim) with 1 <= frames <= seq_len; the frames
-        missing up to ``seq_len`` count as zero frames, so a short record
-        and its zero-padded copy give the same logits (to rounding: the
-        projection's GEMM sums in an order that depends on the row count).
-        The one cast of the program, float32 records to float64, is here and
-        covers the given frames only, as do the projection's GEMMs; the
-        projection's output has ``seq_len`` frames, the tail rows being its
-        bias, and everything after it, the mean pool included, runs over all
-        ``seq_len`` frames. ``trace``, when given, collects the (frames,
-        channels) shape after each stage.
+        ``x`` is one record, a (frames, input_dim) matrix, which gives
+        (1, classes) logits, or a sequence of B such records, which gives
+        (B, classes) logits in one graph. A record has 1 <= frames <=
+        seq_len; the frames missing up to ``seq_len`` count as zero frames,
+        so a short record and its zero-padded copy give the same logits (to
+        rounding: the projection's GEMM sums in an order that depends on the
+        row count). Records may be float32: the projection casts each one's
+        given frames to float64 a block at a time for its GEMMs, and only
+        those frames are multiplied. Its output has ``seq_len`` frames per record, the tail
+        rows being its bias, and everything after it, the mean pool
+        included, runs over all ``seq_len`` frames. ``trace``, when given,
+        collects the (frames, channels) shape of a record after each stage.
         """
         cfg = self.cfg
-        arr = np.asarray(x)
-        if arr.ndim != 2 or arr.shape[1] != cfg.input_dim or not 1 <= arr.shape[0] <= cfg.seq_len:
-            raise ShapeError(
-                f"input: expected {(cfg.seq_len, cfg.input_dim)} or fewer frames, got {arr.shape}"
-            )
+        records = list(x) if isinstance(x, (list, tuple)) else [x]
+        if not records:
+            raise ShapeError("input: expected at least one record")
+        for i, record in enumerate(records):
+            records[i] = arr = np.asarray(record)
+            if arr.ndim != 2 or arr.shape[1] != cfg.input_dim or not 1 <= arr.shape[0] <= cfg.seq_len:
+                raise ShapeError(
+                    f"input: expected {(cfg.seq_len, cfg.input_dim)} or fewer frames, got {arr.shape}"
+                )
         store = self.params
-        h = Tensor(arr.astype(np.float64, copy=False), requires_grad=False)
         h = conv1d(
-            h,
+            records,
             store["projection.weight"],
             store["projection.bias"],
             stride=1,
@@ -285,7 +300,7 @@ class Model:
                     channel_residual=cfg.channel_residual,
                 )
             if trace is not None:
-                trace.append((f"stage{s}", h.value.shape))
+                trace.append((f"stage{s}", h.value.shape[1:]))
         h = layer_norm(h, store["final_norm.gamma"], store["final_norm.beta"])
         h = mean_pool_time(h)
         h = gelu(add_bias(matmul(h, store["head.fc1.weight"]), store["head.fc1.bias"]))
@@ -354,7 +369,10 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Inverse of ``save_checkpoint``; round-trips bit-exactly.
 
-    Each parameter gets its own writable float64 copy of the bytes read.
+    The file's parameter names and shapes must be those that its config
+    declares (``param_shapes``), checked before anything is allocated for
+    the model; each parameter then gets its own writable float64 copy of
+    the bytes read.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -380,17 +398,18 @@ def load_checkpoint(path) -> Model:
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after last parameter")
 
-    model = build_model(cfg)
-    expected = set(model.params.names())
-    if set(values) != expected:
+    cfg.validate()
+    expected = param_shapes(cfg)
+    if set(values) != set(expected):
         raise FormatError(
             f"{path}: parameter names do not match the config: "
-            f"missing {sorted(expected - set(values))}, "
-            f"unexpected {sorted(set(values) - expected)}"
+            f"missing {sorted(set(expected) - set(values))}, "
+            f"unexpected {sorted(set(values) - set(expected))}"
         )
-    for name, (shape, raw) in values.items():
-        tensor = model.params[name]
-        if shape != tensor.value.shape:
-            raise FormatError(f"{path}: parameter {name} has shape {shape}, expected {tensor.value.shape}")
-        tensor.value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    return model
+    store = ParameterStore()
+    for name, want in expected.items():
+        shape, raw = values[name]
+        if shape != want:
+            raise FormatError(f"{path}: parameter {name} has shape {shape}, expected {want}")
+        store.add(name, np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+    return Model(cfg, store)

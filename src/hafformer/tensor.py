@@ -1,12 +1,17 @@
-"""Reverse-mode autodiff over dense 2-D frame matrices.
+"""Reverse-mode autodiff over frame matrices, one sequence or a mini-batch.
 
-Activations are (frames x channels) float64 arrays; ``Model.forward`` casts
-its float32 input once. Parameters may be 1-D (biases, norm affines) or 3-D
-(conv kernels); a gradient always has the shape of its value. Each primitive
-returns a new graph node carrying one vector-Jacobian closure per parent;
+Activations are float64 arrays, (frames, channels) for one sequence or
+(batch, frames, channels) for a mini-batch, so one graph carries a whole
+batch. Ops act on the channel axis (-1) or the frame axis (-2) and treat a
+leading batch axis as independent sequences; a linear weight is shared by
+every row, so its product is one GEMM over the whole batch. Parameters may
+be 1-D (biases, norm affines), 2-D (linear weights) or 3-D (conv kernels); a
+gradient always has the shape of its value. Each primitive returns a new
+graph node carrying one vector-Jacobian closure per parent;
 ``Tensor.backward`` visits every node exactly once in reverse topological
 order, parents in declaration order, so gradient accumulation is
-bit-deterministic. No primitive mutates its inputs.
+bit-deterministic, and it frees each interior node as soon as its closures
+have run. No primitive mutates its inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .errors import ConfigError, NumericError, ShapeError
 GELU_TANH_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_TANH_C1 = 0.044715
 LN_EPS = 1e-5  # added to the variance in every layer norm
+CAST_BLOCK_ROWS = 128  # rows of a float32 record cast to float64 at a time by a dense conv
 
 
 class Tensor:
@@ -28,9 +34,8 @@ class Tensor:
 
     Leaves (``parents == ()``) are parameters or data; interior nodes hold
     the values produced by a primitive plus the closures that map an
-    upstream gradient to each parent's gradient. ``grad`` accumulates
-    across backward calls until it is reset to None (this is how per-sample
-    gradients are summed over a batch).
+    upstream gradient to each parent's gradient. A leaf's ``grad``
+    accumulates across backward calls until it is reset to None.
     """
 
     __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
@@ -54,11 +59,14 @@ class Tensor:
         return self.value.shape
 
     def backward(self, seed=None):
-        """Accumulate d(self)/d(node) into ``grad`` over the whole graph.
+        """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf, consuming the graph.
 
         ``seed`` is the upstream gradient of ``self`` (scalar or an array of
-        the same shape, default ones). One call per freshly built graph;
-        leaf grads persist across calls so batches can accumulate.
+        the same shape, default ones). Leaf grads persist across calls, so
+        graphs built one after another can accumulate into them. Once an
+        interior node's closures have run, the node drops its ``grad``,
+        ``vjps`` and ``parents``, so the activations its closures saved are
+        freed while the walk goes on; a graph can be walked once.
         """
         if not self.requires_grad:
             return
@@ -75,13 +83,18 @@ class Tensor:
             seed = seed_arr
         order = _topo_order(self)
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(order):
+        while order:
+            node = order.pop()  # the list holds no spent node, so it can be freed
+            if not node.parents:
+                continue
             g = node.grad
             for parent, vjp in zip(node.parents, node.vjps):
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(g)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            node.grad = None
+            node.vjps = node.parents = ()
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, leaf={not self.parents})"
@@ -107,9 +120,33 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _require_2d(t: Tensor, op: str) -> None:
-    if t.value.ndim != 2:
-        raise ShapeError(f"{op}: expected 2-D operand, got shape {t.value.shape}")
+def _require_frames(t: Tensor, op: str) -> None:
+    if t.value.ndim not in (2, 3):
+        raise ShapeError(
+            f"{op}: expected a (frames, channels) or (batch, frames, channels) operand, "
+            f"got shape {t.value.shape}"
+        )
+
+
+def _rows(v: np.ndarray) -> np.ndarray:
+    """``v`` as one matrix of channel rows: (every leading index, channels)."""
+    return v.reshape(-1, v.shape[-1])
+
+
+def _row_mean(v: np.ndarray) -> np.ndarray:
+    """Mean over the channel axis, kept as an axis of one.
+
+    A product with a ones column (one GEMV) rather than ``mean(axis=-1)``:
+    numpy's reduction over 8 channels is about ten times slower.
+    """
+    c = v.shape[-1]
+    return (_rows(v) @ np.ones(c) / c).reshape(v.shape[:-1] + (1,))
+
+
+def _col_sum(g: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the channel axis (a bias gradient), as one GEMV."""
+    rows = _rows(g)
+    return np.ones(rows.shape[0]) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +160,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast bias addition: (L, C) + (C,)."""
-    _require_2d(x, "add_bias")
-    if bias.value.shape != (x.value.shape[1],):
+    """Row-broadcast bias addition: (..., C) + (C,)."""
+    _require_frames(x, "add_bias")
+    if bias.value.shape != (x.value.shape[-1],):
         raise ShapeError(
             f"add_bias: bias shape {bias.value.shape} does not match columns of {x.value.shape}"
         )
-    return Tensor(x.value + bias.value, (x, bias), (lambda g: g, lambda g: g.sum(axis=0)))
+    return Tensor(x.value + bias.value, (x, bias), (lambda g: g, _col_sum))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -145,8 +182,9 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    _require_2d(x, "transpose")
-    return Tensor(x.value.T, (x,), (lambda g: g.T,))
+    """Swap the last two axes."""
+    _require_frames(x, "transpose")
+    return Tensor(np.swapaxes(x.value, -1, -2), (x,), (lambda g: np.swapaxes(g, -1, -2),))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -185,56 +223,68 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     of the centred row, which ``xhat`` reuses. E[x^2] - mean^2 would lose
     every digit on rows far from zero.
     """
-    _require_2d(x, "layer_norm")
-    cols = x.value.shape[1]
+    _require_frames(x, "layer_norm")
+    cols = x.value.shape[-1]
     if gamma.value.shape != (cols,) or beta.value.shape != (cols,):
         raise ShapeError(
             f"layer_norm: affine shapes {gamma.value.shape}/{beta.value.shape} "
             f"do not match {cols} channels"
         )
     v = x.value
-    xc = v - v.mean(axis=1, keepdims=True)
-    ivar = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
+    xc = v - _row_mean(v)
+    ivar = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
     xhat = xc * ivar
     out = xhat * gamma.value + beta.value
 
     def dx(g):
         gg = g * gamma.value
         # d xhat -> d x with mean/variance coupling folded in
-        return ivar * (
-            gg
-            - gg.mean(axis=1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=1, keepdims=True)
-        )
+        return ivar * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat))
 
-    return Tensor(
-        out,
-        (x, gamma, beta),
-        (dx, lambda g: (g * xhat).sum(axis=0), lambda g: g.sum(axis=0)),
-    )
+    return Tensor(out, (x, gamma, beta), (dx, lambda g: _col_sum(g * xhat), _col_sum))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Numerically stable per-row softmax (max subtraction)."""
-    _require_2d(x, "softmax_rows")
+    _require_frames(x, "softmax_rows")
     v = x.value
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def dx(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
 
     return Tensor(out, (x,), (dx,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
+    """Product over the last two axes.
+
+    A 2-D ``b`` (a weight) multiplies every row of ``a``, whatever its
+    leading axes: one GEMM over all of them. Otherwise ``a`` and ``b`` have
+    the same leading axes and are multiplied pair by pair.
+    """
+    _require_frames(a, "matmul")
+    _require_frames(b, "matmul")
     av, bv = a.value, b.value
-    return Tensor(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul: inner dims differ, {av.shape} x {bv.shape}")
+    if bv.ndim == 2:
+        a2 = _rows(av)
+
+        def da(g):
+            return (_rows(g) @ bv.T).reshape(av.shape)
+
+        out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[1:])
+        return Tensor(out, (a, b), (da, lambda g: a2.T @ _rows(g)))
+    if av.shape[:-2] != bv.shape[:-2]:
+        raise ShapeError(f"matmul: leading axes differ, {av.shape} x {bv.shape}")
+    return Tensor(
+        av @ bv,
+        (a, b),
+        (lambda g: g @ np.swapaxes(bv, -1, -2), lambda g: np.swapaxes(av, -1, -2) @ g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +292,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _window_sums(v: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded sliding sums over rows with radius ``half`` + true counts."""
-    L = v.shape[0]
-    csum = np.zeros((L + 1,) + v.shape[1:], dtype=v.dtype)
-    np.cumsum(v, axis=0, out=csum[1:])
+    """Zero-padded sliding sums along the frame axis with radius ``half`` + true counts."""
+    L = v.shape[-2]
+    csum = np.zeros(v.shape[:-2] + (L + 1, v.shape[-1]), dtype=v.dtype)
+    np.cumsum(v, axis=-2, out=csum[..., 1:, :])
     idx = np.arange(L)
     hi = np.minimum(idx + half + 1, L)
     lo = np.maximum(idx - half, 0)
-    return csum[hi] - csum[lo], (hi - lo).astype(v.dtype)
+    return csum[..., hi, :] - csum[..., lo, :], (hi - lo).astype(v.dtype)
 
 
 def _check_pool_kernel(k: int, op: str) -> int:
@@ -264,7 +314,7 @@ def avg_pool_time(x: Tensor, k: int = 3) -> Tensor:
     Boundary windows are normalized by the number of in-range frames, so
     constant sequences are preserved exactly.
     """
-    _require_2d(x, "avg_pool_time")
+    _require_frames(x, "avg_pool_time")
     half = _check_pool_kernel(k, "avg_pool_time")
     sums, counts = _window_sums(x.value, half)
     out = sums / counts[:, None]
@@ -277,25 +327,26 @@ def avg_pool_time(x: Tensor, k: int = 3) -> Tensor:
 
 def avg_pool_channels(x: Tensor, k: int = 3) -> Tensor:
     """Sliding mean along the channel axis, stride 1, same padding."""
-    _require_2d(x, "avg_pool_channels")
+    _require_frames(x, "avg_pool_channels")
     half = _check_pool_kernel(k, "avg_pool_channels")
-    sums, counts = _window_sums(x.value.T, half)
-    out = (sums / counts[:, None]).T
+    sums, counts = _window_sums(np.swapaxes(x.value, -1, -2), half)
+    out = np.swapaxes(sums / counts[:, None], -1, -2)
 
     def dx(g):
-        return _window_sums(g.T / counts[:, None], half)[0].T
+        return np.swapaxes(_window_sums(np.swapaxes(g, -1, -2) / counts[:, None], half)[0], -1, -2)
 
     return Tensor(out, (x,), (dx,))
 
 
 def mean_pool_time(x: Tensor) -> Tensor:
-    """Per-channel temporal mean, (L, C) -> (1, C)."""
-    _require_2d(x, "mean_pool_time")
-    L = x.value.shape[0]
-    out = x.value.mean(axis=0, keepdims=True)
+    """Per-channel temporal mean: (L, C) -> (1, C), (B, L, C) -> (B, C)."""
+    _require_frames(x, "mean_pool_time")
+    v = x.value
+    L, C = v.shape[-2:]
+    out = v.mean(axis=-2).reshape(-1, C)
 
     def dx(g):
-        return np.repeat(g / L, L, axis=0)
+        return np.repeat((g / L).reshape(v.shape[:-2] + (1, C)), L, axis=-2)
 
     return Tensor(out, (x,), (dx,))
 
@@ -322,8 +373,33 @@ def _tap_slices(L: int, lout: int, k: int, stride: int, padding: int):
     return taps
 
 
+def _cast_blocks(s: np.ndarray, buf: np.ndarray):
+    """Yield (row slice, those rows of ``s`` as float64) block by block, reusing ``buf``."""
+    n = buf.shape[0]
+    for lo in range(0, s.shape[0], n):
+        x64 = buf[: min(n, s.shape[0] - lo)]
+        x64[...] = s[lo : lo + n]
+        yield slice(lo, lo + x64.shape[0]), x64
+
+
+def add_centre_tap(weight: Tensor, tap: Tensor) -> Tensor:
+    """``weight`` (Cout, Cin/groups, k), k odd, plus the one-tap kernel ``tap``
+    (Cout, Cin/groups, 1) at its centre tap.
+
+    A same-padded conv with the sum equals the sum of a same-padded conv
+    with ``weight`` and a conv with ``tap``, at the cost of one conv.
+    """
+    w = weight.value
+    if w.ndim != 3 or w.shape[2] % 2 == 0 or tap.value.shape != w.shape[:2] + (1,):
+        raise ShapeError(f"add_centre_tap: shapes {w.shape} and {tap.value.shape} do not fit")
+    c = w.shape[2] // 2
+    out = w.copy()
+    out[:, :, c] += tap.value[:, :, 0]
+    return Tensor(out, (weight, tap), (lambda g: g, lambda g: g[:, :, c : c + 1].copy()))
+
+
 def conv1d(
-    x: Tensor,
+    x,
     weight: Tensor,
     bias: Tensor | None = None,
     *,
@@ -334,40 +410,59 @@ def conv1d(
 ) -> Tensor:
     """Temporal convolution along the frame axis with zero padding.
 
-    ``x`` is (rows, Cin) and holds the first rows of an input of ``length``
-    frames (default: ``rows``) whose other rows are zero; ``weight`` is
-    (Cout, Cin/groups, k). The output has floor((length + 2p - k)/s) + 1
-    frames, and the gradient with respect to ``x`` has the rows of ``x``:
-    the zero tail is never materialized, and no product is taken with it.
-    Two groupings are supported: dense (groups == 1) and depthwise
-    (groups == Cin == Cout, one input channel per group); any other
-    grouping raises ``ConfigError``.
+    ``x`` is a Tensor of one sequence (rows, Cin) or of a batch (B, rows,
+    Cin), or a list of B record matrices (rows_b, Cin) of any float dtype,
+    which take no gradient. Each sequence holds the first rows of an input
+    of ``length`` frames (default: the most rows given) whose other rows
+    are zero; ``weight`` is (Cout, Cin/groups, k). Each output
+    sequence has floor((length + 2p - k)/s) + 1 frames: the output is
+    (lout, Cout) for a 2-D Tensor and (B, lout, Cout) otherwise. The
+    gradient with respect to a Tensor ``x`` has its shape: the zero tail is
+    never materialized, and no product is taken with it. Two groupings are
+    supported: dense (groups == 1) and depthwise (groups == Cin == Cout,
+    one input channel per group, Tensor ``x`` only); any other grouping
+    raises ``ConfigError``.
 
-    Dense merge (k == stride, no padding; the model's downsampling): every
-    input row meets exactly one tap, so the first lout*k rows reshape to
-    ``X_r`` (lout, k*Cin) and the output is one GEMM ``X_r @ W_r`` with
-    ``W_r`` the weight laid out as (k*Cin, Cout); ``dX = g @ W_r.T``
-    reshaped back (trailing frames that no window reaches get zeros) and
-    ``dW = X_r.T @ g``. Nothing is computed for taps that are not used.
-    Taken only when ``length`` is the rows of ``x``.
+    Dense merge (k == stride, no padding, Tensor ``x``; the model's
+    downsampling): every input row meets exactly one tap, so the first
+    lout*k rows of every sequence reshape to ``X_r`` (B*lout, k*Cin) and the
+    output is one GEMM ``X_r @ W_r`` with ``W_r`` the weight laid out as
+    (k*Cin, Cout); ``dX = g @ W_r.T`` reshaped back (trailing frames that
+    no window reaches get zeros) and ``dW = X_r.T @ g``. Nothing is
+    computed for taps that are not used. Taken only when ``length`` is the
+    rows of ``x``.
 
-    Other dense convs (the projection): one GEMM of the input against all
-    taps at once, ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight laid
-    out as (k*Cout, Cin), then a strided shift-add: output row i sums
+    Other dense convs (the projection) run sequence by sequence over its
+    real rows, which are cast to float64 ``CAST_BLOCK_ROWS`` at a time into
+    one reused buffer: per block, one GEMM against all taps at once,
+    ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight laid out as
+    (k*Cout, Cin); then a strided shift-add: output row i sums
     ``P[i*s + t - p, tap t]`` over the taps t whose input row is one of the
-    rows of ``x``; output rows that reach none of them are the bias. For
-    the skinny float64 projection (Cin = 1024, k*Cout = 24) this
-    orientation of the GEMM is the faster one. The backward pass scatters
-    the upstream gradient once into ``G_cat`` (rows, k*Cout) with the
-    same index map, then ``dW = G_cat.T @ X`` (again the faster
-    orientation) and ``dX = G_cat @ W_cat.T``. No padded copy of the input
-    is made. Depthwise: the same index map, one scaled add per tap.
+    real rows; output rows that reach none of them are the bias. For the
+    skinny float64 projection (Cin = 1024, k*Cout = 24) this orientation
+    of the GEMM is the faster one. The backward pass scatters each
+    sequence's upstream gradient once into ``G_cat`` (rows, k*Cout) with
+    the same index map, then ``dW`` sums ``G_cat.T @ X`` over the blocks,
+    cast again (again the faster orientation), and ``dX = G_cat @
+    W_cat.T``. No padded copy of an input is made, and no float64 copy of
+    more than one block exists at any time, so the cast costs about 1 MB
+    however long and however many the records. Depthwise: the same index
+    map, one scaled add per tap over the whole batch.
     """
-    _require_2d(x, "conv1d")
     w = weight.value
     if w.ndim != 3:
         raise ShapeError(f"conv1d: weight must be 3-D (Cout, Cin/groups, k), got {w.shape}")
-    L, cin = x.value.shape
+    records = isinstance(x, (list, tuple))
+    if records:
+        seqs = [np.asarray(r) for r in x]
+        if not seqs or any(r.ndim != 2 or r.shape[1] != seqs[0].shape[1] for r in seqs):
+            raise ShapeError("conv1d: expected a non-empty list of (rows, channels) records of one width")
+        L, cin = max(r.shape[0] for r in seqs), seqs[0].shape[1]
+    else:
+        _require_frames(x, "conv1d")
+        xv = x.value
+        L, cin = xv.shape[-2:]
+        seqs = [xv] if xv.ndim == 2 else list(xv)
     length = L if length is None else length
     if length < L:
         raise ShapeError(f"conv1d: length {length} is shorter than the {L} rows given")
@@ -377,10 +472,10 @@ def conv1d(
     if padding < 0:
         raise ConfigError(f"conv1d: padding must be >= 0, got {padding}")
     depthwise = groups != 1
-    if depthwise and not groups == cin == cout:
+    if depthwise and (records or not groups == cin == cout):
         raise ConfigError(
             f"conv1d: groups={groups} with channels {cin} -> {cout}; only dense "
-            "(groups=1) and depthwise (groups=Cin=Cout) convolutions are supported"
+            "(groups=1) and depthwise (groups=Cin=Cout, Tensor input) convolutions are supported"
         )
     if cpg != cin // groups:
         raise ShapeError(
@@ -391,97 +486,120 @@ def conv1d(
     if bias is not None and bias.value.shape != (cout,):
         raise ShapeError(f"conv1d: bias shape {bias.value.shape} != ({cout},)")
 
-    xv = x.value
     lout = (length + 2 * padding - k) // stride + 1
-    taps = _tap_slices(L, lout, k, stride, padding)
 
     if depthwise:
-        y = np.zeros((lout, cout), dtype=xv.dtype)
+        taps = _tap_slices(L, lout, k, stride, padding)
+        y = np.zeros(xv.shape[:-2] + (lout, cout), dtype=xv.dtype)
         for t, out_rows, in_rows in taps:
-            y[out_rows] += xv[in_rows] * w[:, 0, t]
+            y[..., out_rows, :] += xv[..., in_rows, :] * w[:, 0, t]
 
         def dx(g):
             gx = np.zeros_like(xv)
             for t, out_rows, in_rows in taps:
-                gx[in_rows] += g[out_rows] * w[:, 0, t]
+                gx[..., in_rows, :] += g[..., out_rows, :] * w[:, 0, t]
             return gx
 
         def dw(g):
             gw = np.zeros_like(w)
             for t, out_rows, in_rows in taps:
-                gw[:, 0, t] = (g[out_rows] * xv[in_rows]).sum(axis=0)
+                gw[:, 0, t] = _col_sum(g[..., out_rows, :] * xv[..., in_rows, :])
             return gw
 
-    elif k == stride and padding == 0 and length == L:
+    elif not records and k == stride and padding == 0 and length == L:
         n = lout * k
+        lead = xv.shape[:-2]
         w_r = w.transpose(2, 1, 0).reshape(k * cin, cout)
-        x_r = xv[:n].reshape(lout, k * cin)
-        y = x_r @ w_r
+        x_r = xv[..., :n, :].reshape(-1, k * cin)
+        y = (x_r @ w_r).reshape(lead + (lout, cout))
 
         def dx(g):
-            gx = (g @ w_r.T).reshape(n, cin)
+            gx = (_rows(g) @ w_r.T).reshape(lead + (n, cin))
             if n < L:
-                gx = np.concatenate([gx, np.zeros((L - n, cin), dtype=gx.dtype)])
+                gx = np.concatenate([gx, np.zeros(lead + (L - n, cin), dtype=gx.dtype)], axis=-2)
             return gx
 
         def dw(g):
-            return (x_r.T @ g).reshape(k, cin, cout).transpose(2, 1, 0)
+            return (x_r.T @ _rows(g)).reshape(k, cin, cout).transpose(2, 1, 0)
 
     else:
         w_cat_t = w.transpose(2, 0, 1).reshape(k * cout, cin)
-        p_t = (w_cat_t @ xv.T).reshape(k, cout, L)
-        y = np.zeros((lout, cout), dtype=xv.dtype)
-        for t, out_rows, in_rows in taps:
-            y[out_rows] += p_t[t, :, in_rows].T
+        taps = [_tap_slices(s.shape[0], lout, k, stride, padding) for s in seqs]
+        block_rows = max(1, min(L, CAST_BLOCK_ROWS))
+        y = np.zeros((len(seqs), lout, cout))
+        buf = np.empty((block_rows, cin))
+        for y_b, s, taps_b in zip(y, seqs, taps):
+            p_t = np.empty((k * cout, s.shape[0]))
+            for rows, x64 in _cast_blocks(s, buf):
+                p_t[:, rows] = w_cat_t @ x64.T
+            p_t = p_t.reshape(k, cout, s.shape[0])
+            for t, out_rows, in_rows in taps_b:
+                y_b[out_rows] += p_t[t, :, in_rows].T
+        if not records and xv.ndim == 2:
+            y = y[0]
 
-        def scatter(g):
-            g_cat = np.zeros((L, k, cout), dtype=g.dtype)
-            for t, out_rows, in_rows in taps:
-                g_cat[in_rows, t] = g[out_rows]
-            return g_cat.reshape(L, k * cout)
+        def scatter(g_b, rows, taps_b):
+            g_cat = np.zeros((rows, k, cout), dtype=g_b.dtype)
+            for t, out_rows, in_rows in taps_b:
+                g_cat[in_rows, t] = g_b[out_rows]
+            return g_cat.reshape(rows, k * cout)
 
         def dx(g):
-            return scatter(g) @ w_cat_t
+            per_seq = zip(g.reshape(-1, lout, cout), seqs, taps)
+            gx = [scatter(g_b, s.shape[0], taps_b) @ w_cat_t for g_b, s, taps_b in per_seq]
+            return np.stack(gx).reshape(xv.shape)
 
         def dw(g):
             # (k*Cout, Cin) -> (Cout, Cin, k); G_cat.T @ X is the faster orientation
-            return (scatter(g).T @ xv).reshape(k, cout, cin).transpose(1, 2, 0)
+            gw = np.zeros((k * cout, cin))
+            for g_b, s, taps_b in zip(g.reshape(-1, lout, cout), seqs, taps):
+                g_cat = scatter(g_b, s.shape[0], taps_b)
+                for rows, x64 in _cast_blocks(s, buf):
+                    gw += g_cat[rows].T @ x64
+            return gw.reshape(k, cout, cin).transpose(1, 2, 0)
 
     if bias is not None:
-        y = y + bias.value
+        y += bias.value
 
+    inputs, vjps = ((), ()) if records else ((x,), (dx,))
     if bias is None:
-        return Tensor(y, (x, weight), (dx, dw))
-    return Tensor(y, (x, weight, bias), (dx, dw, lambda g: g.sum(axis=0)))
+        return Tensor(y, (*inputs, weight), (*vjps, dw))
+    return Tensor(y, (*inputs, weight, bias), (*vjps, dw, _col_sum))
 
 
 # ---------------------------------------------------------------------------
 # losses and verification
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], stable via max subtraction; 1x1 output.
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over rows of -log softmax(logits)[label], stable via max subtraction.
 
-    Backward is softmax - onehot.
+    ``logits`` is (B, classes) and ``labels`` holds one class per row (an
+    int when B is 1); the output is 1x1. Backward is (softmax - onehot) / B.
     """
-    _require_2d(logits, "cross_entropy")
-    if logits.value.shape[0] != 1:
-        raise ShapeError(f"cross_entropy: expected a 1xN row, got {logits.value.shape}")
-    n = logits.value.shape[1]
-    label = int(label)
-    if not 0 <= label < n:
-        raise ValueError(f"label {label} out of range for {n} classes")
-    z = logits.value[0]
-    m = z.max()
+    _require_frames(logits, "cross_entropy")
+    z = logits.value
+    labels = np.atleast_1d(np.asarray(labels))
+    if z.ndim != 2 or labels.shape != z.shape[:1]:
+        raise ShapeError(
+            f"cross_entropy: expected (B, classes) logits and B labels, got {z.shape} and {labels.shape}"
+        )
+    rows, n = z.shape
+    labels = labels.astype(np.intp)
+    outside = labels[(labels < 0) | (labels >= n)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} out of range for {n} classes")
+    picked = np.arange(rows), labels
+    m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
-    total = e.sum()
-    loss = (m + np.log(total)) - z[label]
+    total = e.sum(axis=1, keepdims=True)
+    loss = ((m + np.log(total))[:, 0] - z[picked]).sum() / rows
     p = e / total
 
     def dz(g):
         d = p.copy()
-        d[label] -= 1.0
-        return float(g.reshape(-1)[0]) * d[None, :]
+        d[picked] -= 1.0
+        return d * (float(g.reshape(-1)[0]) / rows)
 
     return Tensor([[loss]], (logits,), (dz,))
 

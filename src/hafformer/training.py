@@ -1,8 +1,9 @@
 """Deterministic optimization and evaluation: the train loop, AdamW, metrics.
 
-Batches are processed one sequence at a time (the model is single-sequence)
-with gradients averaged via scaled backward seeds, so two runs with the
-same seeds produce bit-identical parameter trajectories.
+Each mini-batch is one forward over all of its records, one graph and one
+backward pass of the batch-mean loss, so two runs with the same seeds
+produce bit-identical parameter trajectories. Evaluation runs one record
+per forward.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def train(
     """Shuffled mini-batch AdamW training; returns the per-epoch log.
 
     Per-epoch shuffles come from a dedicated stream seeded by ``seed``.
-    Batch gradients are means of per-sample gradients (per-sample forward
-    passes, accumulated through scaled backward seeds). No early stopping.
+    Each batch is one forward of its records, unpadded and of any lengths,
+    and one backward of their mean cross-entropy, so the batch gradient is
+    the mean of the per-sample gradients. No early stopping.
     """
     if not dataset.records:
         raise ValueError("cannot train on an empty dataset")
@@ -143,7 +145,7 @@ def train(
     records = dataset.records
     n = len(records)
     inputs = [_prepared(r, model.cfg) for r in records]
-    labels = [r.label for r in records]
+    labels = np.array([r.label for r in records])
     shuffle_rng = np.random.default_rng(seed)
     state = init_optimizer(model.params, lr=lr, weight_decay=weight_decay)
 
@@ -158,19 +160,15 @@ def train(
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
                 model.params.zero_grad()
-                inv = 1.0 / len(batch)
-                for idx in batch:
-                    logits = model.forward(inputs[idx])
-                    loss = cross_entropy(logits, labels[idx])
-                    value = float(loss.value[0, 0])
-                    if not np.isfinite(value):
-                        raise OptimizationError(
-                            f"non-finite loss at epoch {epoch}, sample index {int(idx)}"
-                        )
-                    loss.backward(inv)
-                    loss_sum += value
-                    correct += int(np.argmax(logits.value[0]) == labels[idx])
-                    del logits, loss  # free this sample's graph before the next one is built
+                logits = model.forward([inputs[idx] for idx in batch])
+                loss = cross_entropy(logits, labels[batch])
+                value = float(loss.value[0, 0])
+                if not np.isfinite(value):  # then some row of logits is not finite
+                    first = int(batch[~np.isfinite(logits.value).all(axis=1)][0])
+                    raise OptimizationError(f"non-finite loss at epoch {epoch}, sample index {first}")
+                loss.backward()
+                loss_sum += value * len(batch)
+                correct += int((np.argmax(logits.value, axis=1) == labels[batch]).sum())
                 try:
                     adamw_step(model.params, state)
                 except OptimizationError as exc:

@@ -341,6 +341,36 @@ def test_eval_rejects_a_checkpoint_of_impossible_size_with_exit_2(tmp_path, caps
     assert "values of projection.weight" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_checkpoint_whose_config_asks_for_other_shapes_with_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    path = out_dir / cli.CHECKPOINT_NAME
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), path)
+    raw = path.read_bytes()
+    cfg_len = int.from_bytes(raw[8:12], "little")
+    cfg_json = raw[12 : 12 + cfg_len].replace(b'"input_dim":16,', b'"input_dim":%d,' % 2**62)
+    path.write_bytes(raw[:8] + len(cfg_json).to_bytes(4, "little") + cfg_json + raw[12 + cfg_len :])
+    assert run_cli("eval", "--out", str(out_dir)) == 2
+    assert "parameter projection.weight has shape (8, 16, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
+    features = np.zeros((64, 1024), dtype=np.float32)
+    features[5, 7] = np.nan
+    records = (
+        data.EmbeddingRecord("r1", np.zeros((64, 1024), dtype=np.float32), 0),
+        data.EmbeddingRecord("r2", features, 1),
+    )
+    data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
+    assert run_cli(command, "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out_dir)) == 2
+    assert "r2.hafe: feature values include NaN or infinity" in capsys.readouterr().err
+
+
 def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", data_mode="files")
     out_dir = tmp_path / "run"

@@ -146,6 +146,16 @@ def test_loading_a_dataset_allocates_about_its_payload(tmp_path, rng):
     assert all(r.features.dtype == np.float32 for r in loaded.records)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_features(tmp_path, value):
+    features = np.ones((3, 4), dtype=np.float32)
+    features[1, 2] = value
+    path = tmp_path / "bad.hafe"
+    save_embedding(path, EmbeddingRecord("bad", features))
+    with pytest.raises(CorruptionError, match=r"bad\.hafe: feature values include NaN or infinity"):
+        load_embedding(path, expected_cols=4)
+
+
 def damaged(raw: bytes):
     """``raw`` with one byte replaced, or cut short: never longer, so no
     header can ask for more than the file holds."""
@@ -191,6 +201,34 @@ def test_a_damaged_file_raises_only_documented_errors(tmp_path_factory, write, l
         load(path)
     except (FormatError, CorruptionError, DimensionError, ConfigError):
         pass
+
+
+FUZZ_RECORDS = (("a0", 0), ("b1", 1), ("a1", 1))  # ids one byte apart, so damage can swap them
+
+
+def write_fuzz_dataset(directory):
+    for rec_id, label in FUZZ_RECORDS:
+        save_embedding(directory / f"{rec_id}.hafe", EmbeddingRecord(rec_id, np.ones((2, 4), dtype=np.float32)))
+    return "".join(f"{rec_id},{label}\n" for rec_id, label in FUZZ_RECORDS).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), split=st.sampled_from(["train", "test"]))
+def test_a_damaged_manifest_raises_only_documented_errors(tmp_path_factory, data, split):
+    directory = tmp_path_factory.mktemp("manifest")
+    raw = write_fuzz_dataset(directory)
+    (directory / "manifest.csv").write_bytes(data.draw(damaged(raw)))
+    try:
+        load_dataset(directory, split, expected_cols=4)
+    except (FormatError, CorruptionError, DimensionError, ConfigError):
+        pass
+
+
+def test_a_manifest_that_lists_a_missing_file_is_a_format_error(tmp_path):
+    write_fuzz_dataset(tmp_path)
+    (tmp_path / "manifest.csv").write_text("a0,0\nb0,1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=r"manifest\.csv: lists 'b0', but .*b0\.hafe does not exist"):
+        load_dataset(tmp_path, "train", expected_cols=4)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -19,7 +19,7 @@ from hafformer.mixers import (
     token_mix,
     token_param_shapes,
 )
-from hafformer.tensor import Tensor, grad_check, layer_norm, sum_all
+from hafformer.tensor import Tensor, add, conv1d, gelu, grad_check, layer_norm, sum_all
 
 from oracle_forward import ref_attention
 
@@ -49,6 +49,37 @@ def test_msdw_zero_weights_is_identity(rng):
     gamma, beta = unit_norms(8)
     out = token_mix(TokenMixerKind.MSDW, params, gamma, beta, Tensor(x))
     assert np.array_equal(out.value, x)
+
+
+@pytest.mark.parametrize("shape", [(16, 8), (3, 16, 8), (2, 5, 8)], ids=["one", "batch", "short"])
+def test_msdw_folded_kernel_matches_the_two_branch_form(rng, shape):
+    """One conv with the k=1 kernel added to the k=7 centre tap: the same
+    output, input gradient and gradients of both kernels as two convs and an add."""
+    d = shape[-1]
+    x = rng.standard_normal(shape)
+    g = rng.standard_normal(shape)
+    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(d))
+    beta = Tensor(0.1 * rng.standard_normal(d))
+    shapes = token_param_shapes(TokenMixerKind.MSDW, d)
+    values = {n: rng.standard_normal(s) for n, s in shapes.items()}
+
+    def run(mix):
+        params = {n: Tensor(v) for n, v in values.items()}
+        xt = Tensor(x)
+        out = mix(params, xt)
+        out.backward(g)
+        return out.value, xt.grad, params["depthwise7"].grad, params["depthwise1"].grad
+
+    def two_branch(p, xt):
+        z = layer_norm(xt, gamma, beta)
+        wide = conv1d(z, p["depthwise7"], stride=1, padding=3, groups=d)
+        narrow = conv1d(z, p["depthwise1"], stride=1, padding=0, groups=d)
+        return add(gelu(add(wide, narrow)), xt)
+
+    folded = run(lambda p, xt: token_mix(TokenMixerKind.MSDW, p, gamma, beta, xt))
+    for got, want in zip(folded, run(two_branch)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_pool_token_mixer_on_time_constant_input(rng):
@@ -212,6 +243,33 @@ def test_block_gradients_all_combos(tk, ck):
         return sum_all(afformer_block(tk, ck, bp, x))
 
     assert grad_check(f, bp.tensors()) < 1e-4
+
+
+@pytest.mark.parametrize("tk,ck", ALL_MIXER_COMBOS)
+def test_block_on_a_batch_matches_each_sequence_alone(tk, ck):
+    """A (B, L, d) batch gives each sequence's output and input gradient, and
+    the sum of the per-sequence parameter gradients."""
+    rng = np.random.default_rng(7)
+    bp = random_block_params(tk, ck, 8, rng)
+    xs = rng.standard_normal((3, 16, 8))
+    seeds = rng.standard_normal((3, 16, 8))
+
+    def run(x, seed):
+        for t in bp.tensors():
+            t.grad = None
+        xt = Tensor(x)
+        out = afformer_block(tk, ck, bp, xt)
+        out.backward(seed)
+        return out.value, xt.grad, [t.grad for t in bp.tensors()]
+
+    out, x_grad, grads = run(xs, seeds)
+    alone = [run(x, seed) for x, seed in zip(xs, seeds)]
+    assert np.max(np.abs(out - np.stack([a[0] for a in alone]))) <= 1e-12 * np.max(np.abs(out))
+    assert np.max(np.abs(x_grad - np.stack([a[1] for a in alone]))) <= 1e-12 * np.max(np.abs(x_grad))
+    totals = [sum(a[2][i] for a in alone) for i in range(len(grads))]
+    scale = max(np.max(np.abs(t)) for t in totals)  # attention's bk gradient is zero up to rounding
+    for i, (grad, total) in enumerate(zip(grads, totals)):
+        assert np.max(np.abs(grad - total)) <= 1e-12 * scale, i
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,52 @@ def test_float32_record_and_its_float64_copy_give_identical_results(rng):
         assert grad.dtype == np.float64 and np.array_equal(grad, grads64[name]), name
 
 
+def records_of_mixed_lengths(rng, cfg, count):
+    """``count`` records from one frame up to ``seq_len``, the first and last of each length."""
+    lengths = [1, cfg.seq_len, *rng.integers(1, cfg.seq_len + 1, size=max(count - 2, 0))][:count]
+    return [rng.standard_normal((int(n), cfg.input_dim)).astype(np.float32) for n in lengths]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_batched_gradients_are_the_mean_of_per_sample_gradients(rng, batch):
+    model = build_model(replace(SMALL, seed=6))
+    perturb_vectors(model, rng)
+    records = records_of_mixed_lengths(rng, SMALL, batch)
+    labels = [int(v) for v in rng.integers(0, 2, size=batch)]
+
+    mean = {name: np.zeros_like(t.value) for name, t in model.params.items()}
+    for x, label in zip(records, labels):
+        model.params.zero_grad()
+        cross_entropy(model.forward(x), label).backward()
+        for name, t in model.params.items():
+            mean[name] += t.grad / batch
+    model.params.zero_grad()
+    cross_entropy(model.forward(records), labels).backward()
+    for name, t in model.params.items():
+        scale = max(np.max(np.abs(mean[name])), 1e-300)
+        assert np.max(np.abs(t.grad - mean[name])) <= 1e-12 * scale, name
+
+
+def test_batched_logits_match_per_record_logits_and_the_oracle(rng):
+    model = build_model(replace(SMALL, seed=8))
+    perturb_vectors(model, rng)
+    records = records_of_mixed_lengths(rng, SMALL, 5)
+    batched = model.forward(records).value
+    assert batched.shape == (5, SMALL.num_classes)
+    for row, x in zip(batched, records):
+        alone = model.forward(x).value[0]
+        assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
+        assert np.max(np.abs(row - ref_forward(model, x)[0])) < 1e-9
+
+
+def test_forward_rejects_an_empty_batch_and_a_bad_record_in_a_batch(rng):
+    model = build_model(SMALL)
+    with pytest.raises(ShapeError, match="at least one record"):
+        model.forward([])
+    with pytest.raises(ShapeError, match=r"expected \(64, 16\) or fewer frames"):
+        model.forward([np.zeros((8, 16)), np.zeros((65, 16))])
+
+
 def test_end_to_end_gradients_shrunken_model(rng):
     model = build_model(replace(SMALL, seed=1))
     x = rng.standard_normal((64, 16))
@@ -346,6 +392,18 @@ def test_checkpoint_with_a_rank_numpy_cannot_hold_is_rejected(tmp_path):
     raw[at] = 65  # the bias's zero values now read as zero dims: 0 values of rank 65
     path.write_bytes(bytes(raw))
     with pytest.raises((CorruptionError, FormatError)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [("input_dim", 2**62), ("head_hidden", 2**40)])
+def test_checkpoint_whose_config_asks_for_other_shapes_is_rejected_before_allocating(tmp_path, field, value):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(SMALL), path)
+    head, cfg_json, params = split_config_block(path.read_bytes())
+    payload = {**json.loads(cfg_json), field: value}
+    cfg_json = json.dumps(payload).encode("utf-8")
+    path.write_bytes(head + len(cfg_json).to_bytes(4, "little") + cfg_json + params)
+    with pytest.raises(FormatError, match=f"has shape .* expected .*{value}"):
         load_checkpoint(path)
 
 

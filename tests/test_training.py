@@ -281,15 +281,15 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
     model = build_model(TINY)
     ds = tiny_dataset(3, seed=4)
     training.train(model, ds, 1, 4, 0)
-    samples, blocks = len(ds), TINY.num_blocks()
-    assert strides == [1, *TINY.stage_factors] * samples  # projection first, then the merges
+    samples, blocks, batches = len(ds), TINY.num_blocks(), 2
+    assert strides == [1, *TINY.stage_factors] * batches  # projection first, then the merges
     assert calls == Counter(
-        conv1d=samples * (1 + len(TINY.stage_factors)),
-        token_mix=samples * blocks,
-        channel_mix=samples * blocks,
+        conv1d=batches * (1 + len(TINY.stage_factors)),
+        token_mix=batches * blocks,
+        channel_mix=batches * blocks,
         pad_or_truncate=samples,
-        cross_entropy=samples,
-        adamw_step=2,
+        cross_entropy=batches,
+        adamw_step=batches,
     )
 
 
