@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 
-from .mixers import ChannelMixerKind, TokenMixerKind, ALL_MIXER_COMBOS
+from .mixers import ChannelMixerKind, TokenMixerKind
 from .model import ModelConfig
 
 
@@ -145,10 +145,9 @@ def count_costs(cfg: ModelConfig) -> CostReport:
     return CostReport(tuple(entries))
 
 
-def round_half_away(x: float, decimals: int = 2) -> float:
-    """Round with ties going away from zero, e.g. 0.125 -> 0.13."""
-    q = Decimal(1).scaleb(-decimals)
-    return float(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_away(x: float) -> float:
+    """Round to two decimals with ties going away from zero, e.g. 0.125 -> 0.13."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 # Published reference figures for the original HAFFormer configuration
@@ -207,7 +206,7 @@ class CostTable:
 
 
 def emit_cost_table(
-    combos: list[tuple[TokenMixerKind, ChannelMixerKind]] | None = None,
+    combos: list[tuple[TokenMixerKind, ChannelMixerKind]],
     cfg: ModelConfig | None = None,
 ) -> CostTable:
     """Cost grid for the given mixer combinations (params in K, MACs in M).
@@ -216,8 +215,6 @@ def emit_cost_table(
     figure departs from the published reference beyond rounding produce a
     warning describing the residue.
     """
-    if combos is None:
-        combos = list(ALL_MIXER_COMBOS)
     base = cfg if cfg is not None else ModelConfig()
     header = (
         f"{'token':<16}{'channel':<10}{'params[K]':>10}{'MACs[M]':>10}"

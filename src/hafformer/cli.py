@@ -2,7 +2,8 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 unknown keys are rejected with a line-numbered diagnostic. Exit codes:
-0 success, 1 numeric/assertion failure, 2 usage or configuration failure.
+0 success, 1 numeric/assertion failure, 2 usage, configuration, input or
+file-system failure.
 """
 
 from __future__ import annotations
@@ -145,28 +146,25 @@ def _load_run_config(args) -> RunConfig:
 def cmd_analyze(args) -> int:
     run = _load_run_config(args)
     cfg = run.model
+    combos = list(ALL_MIXER_COMBOS) if args.all_combos else [(cfg.token_mixer, cfg.channel_mixer)]
+    table = analysis.emit_cost_table(combos, cfg)
     if args.all_combos:
-        table = analysis.emit_cost_table(list(ALL_MIXER_COMBOS), cfg)
         print(table.text)
-        rows = list(table.rows)
     else:
-        report = analysis.count_costs(cfg)
+        (row,) = table.rows
         print(f"configuration: {cfg.token_mixer.value} + {cfg.channel_mixer.value}")
         print(f"{'component':<28}{'params':>10}{'MACs':>14}")
-        for entry in report.entries:
+        for entry in analysis.count_costs(cfg).entries:
             print(f"{entry.component:<28}{entry.params:>10}{entry.macs:>14}")
-        pk = analysis.round_half_away(report.params_excl_projection / 1e3)
-        mm = analysis.round_half_away(report.macs_excl_projection / 1e6)
-        pki = analysis.round_half_away(report.params_incl_projection / 1e3)
-        mmi = analysis.round_half_away(report.macs_incl_projection / 1e6)
-        print(f"total excl. projection: {pk:.2f}K params, {mm:.2f}M MACs")
-        print(f"total incl. projection: {pki:.2f}K params, {mmi:.2f}M MACs")
-        table = analysis.emit_cost_table([(cfg.token_mixer, cfg.channel_mixer)], cfg)
+        print(f"total excl. projection: {row['params']:.2f}K params, {row['macs']:.2f}M MACs")
+        print(
+            f"total incl. projection: {row['params_incl_projection']:.2f}K params, "
+            f"{row['macs_incl_projection']:.2f}M MACs"
+        )
         for warning in table.warnings:
             print(f"warning: {warning}")
-        rows = list(table.rows)
     if args.json:
-        Path(args.json).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        Path(args.json).write_text(json.dumps(list(table.rows), indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -347,7 +345,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, DimensionError, CorruptionError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, DimensionError, CorruptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, OptimizationError, ValueError) as exc:

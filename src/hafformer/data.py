@@ -115,10 +115,10 @@ def _read_utf8(fh, n: int, path, what: str) -> str:
         raise CorruptionError(f"{path}: {what} is not UTF-8: {exc}") from None
 
 
-def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> EmbeddingRecord:
+def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
     """Read one record; its features are a read-only float32 view of the bytes read.
 
-    ``expected_cols`` guards the channel count (None disables the check). A
+    A channel count other than ``expected_cols`` is a ``DimensionError``; a
     NaN or infinite feature value is corruption.
     """
     with open(path, "rb") as fh:
@@ -131,7 +131,7 @@ def load_embedding(path, expected_cols: int | None = EMBEDDING_DIM) -> Embedding
         rows, cols = struct.unpack("<II", _read_exact(fh, 8, path, "shape"))
         if rows < 1 or cols < 1:
             raise CorruptionError(f"{path}: degenerate shape ({rows}, {cols})")
-        if expected_cols is not None and cols != expected_cols:
+        if cols != expected_cols:
             raise DimensionError(f"{path}: {cols} channels, expected {expected_cols}")
         (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
         rec_id = _read_utf8(fh, id_len, path, "id")
@@ -198,7 +198,7 @@ def save_dataset(directory, dataset: Dataset) -> None:
     save_manifest(directory / MANIFEST_NAME, dataset)
 
 
-def load_dataset(directory, split: str = "train", expected_cols: int | None = EMBEDDING_DIM) -> Dataset:
+def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING_DIM) -> Dataset:
     """Read the manifest, then ``<id>.hafe``, which must exist and hold that id, for each id in it."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
@@ -222,7 +222,7 @@ def load_dataset(directory, split: str = "train", expected_cols: int | None = EM
 # fixed-length contract
 
 
-def pad_or_truncate(x: np.ndarray, target_len: int = 3200) -> np.ndarray:
+def pad_or_truncate(x: np.ndarray, target_len: int) -> np.ndarray:
     """Force exactly ``target_len`` frames: keep the head, zero-pad the tail."""
     if target_len < 1:
         raise ValueError(f"target_len must be >= 1, got {target_len}")
@@ -296,6 +296,6 @@ def band_energy_score(features: np.ndarray) -> float:
     return float(energy.mean())
 
 
-def oracle_classify(features: np.ndarray, threshold: float = BAND_ENERGY_THRESHOLD) -> int:
-    """Threshold classifier on the band-energy score (1 = drift present)."""
-    return int(band_energy_score(features) > threshold)
+def oracle_classify(features: np.ndarray) -> int:
+    """``BAND_ENERGY_THRESHOLD`` classifier on the band-energy score (1 = drift present)."""
+    return int(band_energy_score(features) > BAND_ENERGY_THRESHOLD)

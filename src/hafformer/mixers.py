@@ -3,14 +3,15 @@
 Every mixer is a pre-norm residual sublayer: Y = Mix(LN(X)) + X. Token
 mixers act along the frame axis (-2), channel mixers along the feature
 axis (-1); a leading batch axis passes through.
-Parameter bundles are plain name -> Tensor mappings whose layouts are
-declared here so model assembly and cost accounting stay in sync.
+Parameter bundles are plain name -> Tensor mappings whose layouts, a
+block's included, are declared here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import (
+    POOL_KERNEL,
     Tensor,
     add,
     add_bias,
@@ -34,8 +36,7 @@ from .tensor import (
     transpose,
 )
 
-DW_KERNEL = 7
-POOL_KERNEL = 3
+DW_KERNEL = 7  # the pool mixers' window is POOL_KERNEL, imported from tensor
 ISC_EXPANSION = 2
 GEGLU_EXPANSION = 2
 FFN_EXPANSION = 4
@@ -113,8 +114,20 @@ def channel_param_shapes(kind: ChannelMixerKind, d: int) -> dict[str, tuple[int,
     raise ConfigError(f"unknown channel mixer kind: {kind}")
 
 
-def param_count(shapes: dict[str, tuple[int, ...]]) -> int:
-    return sum(int(np.prod(s)) for s in shapes.values())
+def block_param_shapes(
+    token_kind: TokenMixerKind, channel_kind: ChannelMixerKind, d: int
+) -> dict[str, tuple[int, ...]]:
+    """Parameter layout of one block at width ``d``: each norm's affine before
+    its mixer's bundle, token sublayer first (insertion order fixed)."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for sub, bundle in (
+        ("token", token_param_shapes(token_kind, d)),
+        ("channel", channel_param_shapes(channel_kind, d)),
+    ):
+        shapes[f"{sub}_norm.gamma"] = (d,)
+        shapes[f"{sub}_norm.beta"] = (d,)
+        shapes.update({f"{sub}.{name}": shape for name, shape in bundle.items()})
+    return shapes
 
 
 def token_mix(
@@ -134,7 +147,7 @@ def token_mix(
         attn = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d)))
         out = add_bias(matmul(matmul(attn, v), params["wo"]), params["bo"])
     elif kind == TokenMixerKind.POOL:
-        out = avg_pool_time(z, POOL_KERNEL)
+        out = avg_pool_time(z)
     elif kind == TokenMixerKind.IDENTITY:
         out = z
     elif kind == TokenMixerKind.ISC:
@@ -181,7 +194,7 @@ def channel_mix(
         value = add_bias(matmul(z, params["w2"]), params["b2"])
         out = add_bias(matmul(mul(gate, value), params["w3"]), params["b3"])
     elif kind == ChannelMixerKind.POOL:
-        out = avg_pool_channels(z, POOL_KERNEL)
+        out = avg_pool_channels(z)
     elif kind == ChannelMixerKind.IDENTITY:
         out = z
     else:
@@ -199,6 +212,22 @@ class BlockParams:
     token_beta: Tensor
     channel_gamma: Tensor
     channel_beta: Tensor
+
+    @classmethod
+    def from_names(cls, params: Mapping[str, Tensor]) -> "BlockParams":
+        """The block whose tensors ``params`` holds under the names of ``block_param_shapes``."""
+
+        def bundle(sub: str) -> dict[str, Tensor]:
+            return {name[len(sub) :]: t for name, t in params.items() if name.startswith(sub)}
+
+        return cls(
+            token=bundle("token."),
+            channel=bundle("channel."),
+            token_gamma=params["token_norm.gamma"],
+            token_beta=params["token_norm.beta"],
+            channel_gamma=params["channel_norm.gamma"],
+            channel_beta=params["channel_norm.beta"],
+        )
 
     def tensors(self) -> list[Tensor]:
         out = [self.token_gamma, self.token_beta]
@@ -233,12 +262,11 @@ def random_block_params(
     channel_kind: ChannelMixerKind,
     d: int,
     rng: np.random.Generator,
-    spread: float = 0.4,
 ) -> BlockParams:
     """Random leaf parameters for one block; verification-harness helper."""
 
     def draw(shapes):
-        return {name: Tensor(spread * rng.standard_normal(s)) for name, s in shapes.items()}
+        return {name: Tensor(0.4 * rng.standard_normal(s)) for name, s in shapes.items()}
 
     return BlockParams(
         token=draw(token_param_shapes(token_kind, d)),

@@ -20,14 +20,7 @@ import numpy as np
 
 from .data import _read_exact, _read_utf8
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
-from .mixers import (
-    BlockParams,
-    ChannelMixerKind,
-    TokenMixerKind,
-    afformer_block,
-    channel_param_shapes,
-    token_param_shapes,
-)
+from .mixers import BlockParams, ChannelMixerKind, TokenMixerKind, afformer_block, block_param_shapes
 from .tensor import Tensor, add_bias, conv1d, gelu, layer_norm, matmul, mean_pool_time
 
 CHECKPOINT_MAGIC = b"HAFC"
@@ -82,18 +75,6 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
-    def stage_lengths(self) -> tuple[int, ...]:
-        """Frame count after each stage's merge."""
-        out = []
-        length = self.seq_len
-        for f in self.stage_factors:
-            length //= f
-            out.append(length)
-        return tuple(out)
-
-    def num_blocks(self) -> int:
-        return sum(self.stage_depths)
-
 
 class HierarchyPreset(str, Enum):
     H2 = "h2"
@@ -118,49 +99,27 @@ def apply_preset(preset: HierarchyPreset, cfg: ModelConfig) -> ModelConfig:
     return out
 
 
-class ParameterStore:
-    """Ordered name -> leaf Tensor map with gradient slots."""
-
-    def __init__(self):
-        self._items: dict[str, Tensor] = {}
-
-    def add(self, name: str, value: np.ndarray) -> Tensor:
-        if name in self._items:
-            raise ConfigError(f"duplicate parameter name: {name}")
-        t = Tensor(value, requires_grad=True)
-        self._items[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._items[name]
-
-    def names(self) -> list[str]:
-        return list(self._items)
-
-    def items(self):
-        return self._items.items()
+class ParameterStore(dict[str, Tensor]):
+    """Ordered name -> leaf Tensor map of a model's parameters."""
 
     def tensors(self) -> list[Tensor]:
-        return list(self._items.values())
+        return list(self.values())
 
     def zero_grad(self) -> None:
-        for t in self._items.values():
+        for t in self.values():
             t.grad = None
 
     def total_scalars(self, exclude_prefix: str | None = None) -> int:
         return sum(
             t.value.size
-            for name, t in self._items.items()
+            for name, t in self.items()
             if exclude_prefix is None or not name.startswith(exclude_prefix)
         )
 
 
 def _fan_in(shape: tuple[int, ...]) -> int:
-    if len(shape) == 2:  # linear weight stored (in, out), applied as x @ w
-        return shape[0]
-    if len(shape) == 3:  # conv kernel (Cout, Cin/groups, k)
-        return shape[1] * shape[2]
-    raise ConfigError(f"no fan-in convention for shape {shape}")
+    """Inputs per output of a linear weight (in, out) or a conv kernel (Cout, Cin/groups, k)."""
+    return shape[0] if len(shape) == 2 else shape[1] * shape[2]
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -171,19 +130,12 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "projection.weight": (d, cfg.input_dim, cfg.proj_kernel),
         "projection.bias": (d,),
     }
+    block = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, d)
     for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
         shapes[f"stage{s}.merge.weight"] = (d, d, factor)
         shapes[f"stage{s}.merge.bias"] = (d,)
         for b in range(depth):
-            prefix = f"stage{s}.block{b}"
-            shapes[f"{prefix}.token_norm.gamma"] = (d,)
-            shapes[f"{prefix}.token_norm.beta"] = (d,)
-            for name, shape in token_param_shapes(cfg.token_mixer, d).items():
-                shapes[f"{prefix}.token.{name}"] = shape
-            shapes[f"{prefix}.channel_norm.gamma"] = (d,)
-            shapes[f"{prefix}.channel_norm.beta"] = (d,)
-            for name, shape in channel_param_shapes(cfg.channel_mixer, d).items():
-                shapes[f"{prefix}.channel.{name}"] = shape
+            shapes.update({f"stage{s}.block{b}.{name}": shape for name, shape in block.items()})
     shapes["final_norm.gamma"] = (d,)
     shapes["final_norm.beta"] = (d,)
     shapes["head.fc1.weight"] = (d, cfg.head_hidden)
@@ -211,7 +163,7 @@ def build_model(cfg: ModelConfig) -> "Model":
         else:
             bound = 1.0 / math.sqrt(_fan_in(shape))
             value = rng.uniform(-bound, bound, size=shape)
-        store.add(name, value)
+        store[name] = Tensor(value)
     return Model(cfg, store)
 
 
@@ -223,30 +175,13 @@ class Model:
     params: ParameterStore
 
     def __post_init__(self):
-        self._blocks: dict[tuple[int, int], BlockParams] = {}
-        for s, depth in enumerate(self.cfg.stage_depths):
-            for b in range(depth):
-                self._blocks[(s, b)] = self._wire_block(s, b)
-
-    def _wire_block(self, s: int, b: int) -> BlockParams:
-        store, d = self.params, self.cfg.d_model
-        prefix = f"stage{s}.block{b}"
-        token = {
-            name: store[f"{prefix}.token.{name}"]
-            for name in token_param_shapes(self.cfg.token_mixer, d)
+        cfg = self.cfg
+        names = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
+        self._blocks = {
+            (s, b): BlockParams.from_names({n: self.params[f"stage{s}.block{b}.{n}"] for n in names})
+            for s, depth in enumerate(cfg.stage_depths)
+            for b in range(depth)
         }
-        channel = {
-            name: store[f"{prefix}.channel.{name}"]
-            for name in channel_param_shapes(self.cfg.channel_mixer, d)
-        }
-        return BlockParams(
-            token=token,
-            channel=channel,
-            token_gamma=store[f"{prefix}.token_norm.gamma"],
-            token_beta=store[f"{prefix}.token_norm.beta"],
-            channel_gamma=store[f"{prefix}.channel_norm.gamma"],
-            channel_beta=store[f"{prefix}.channel_norm.beta"],
-        )
 
     def forward(self, x, trace: list | None = None) -> Tensor:
         """Run the network on one record or a batch; returns raw logits.
@@ -354,7 +289,7 @@ def save_checkpoint(model: Model, path) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(cfg_json)))
         fh.write(cfg_json)
-        names = sorted(model.params.names())
+        names = sorted(model.params)
         fh.write(struct.pack("<I", len(names)))
         for name in names:
             encoded = name.encode("utf-8")
@@ -411,5 +346,5 @@ def load_checkpoint(path) -> Model:
         shape, raw = values[name]
         if shape != want:
             raise FormatError(f"{path}: parameter {name} has shape {shape}, expected {want}")
-        store.add(name, np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+        store[name] = Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
     return Model(cfg, store)

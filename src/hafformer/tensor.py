@@ -26,6 +26,8 @@ from .errors import ConfigError, NumericError, ShapeError
 GELU_TANH_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_TANH_C1 = 0.044715
 LN_EPS = 1e-5  # added to the variance in every layer norm
+POOL_KERNEL = 3  # window of the sliding-mean pools
+FD_STEP = 1e-5  # central-difference step of grad_check
 CAST_BLOCK_ROWS = 128  # rows of a float32 record cast to float64 at a time by a dense conv
 
 
@@ -302,20 +304,14 @@ def _window_sums(v: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
     return csum[..., hi, :] - csum[..., lo, :], (hi - lo).astype(v.dtype)
 
 
-def _check_pool_kernel(k: int, op: str) -> int:
-    if k < 1 or k % 2 == 0:
-        raise ConfigError(f"{op}: kernel must be odd and >= 1, got {k}")
-    return k // 2
-
-
-def avg_pool_time(x: Tensor, k: int = 3) -> Tensor:
-    """Sliding mean along the frame axis, stride 1, same padding.
+def avg_pool_time(x: Tensor) -> Tensor:
+    """Sliding mean of ``POOL_KERNEL`` frames along the frame axis, stride 1, same padding.
 
     Boundary windows are normalized by the number of in-range frames, so
     constant sequences are preserved exactly.
     """
     _require_frames(x, "avg_pool_time")
-    half = _check_pool_kernel(k, "avg_pool_time")
+    half = POOL_KERNEL // 2
     sums, counts = _window_sums(x.value, half)
     out = sums / counts[:, None]
 
@@ -325,17 +321,9 @@ def avg_pool_time(x: Tensor, k: int = 3) -> Tensor:
     return Tensor(out, (x,), (dx,))
 
 
-def avg_pool_channels(x: Tensor, k: int = 3) -> Tensor:
-    """Sliding mean along the channel axis, stride 1, same padding."""
-    _require_frames(x, "avg_pool_channels")
-    half = _check_pool_kernel(k, "avg_pool_channels")
-    sums, counts = _window_sums(np.swapaxes(x.value, -1, -2), half)
-    out = np.swapaxes(sums / counts[:, None], -1, -2)
-
-    def dx(g):
-        return np.swapaxes(_window_sums(np.swapaxes(g, -1, -2) / counts[:, None], half)[0], -1, -2)
-
-    return Tensor(out, (x,), (dx,))
+def avg_pool_channels(x: Tensor) -> Tensor:
+    """Sliding mean along the channel axis: ``avg_pool_time`` of the transpose."""
+    return transpose(avg_pool_time(transpose(x)))
 
 
 def mean_pool_time(x: Tensor) -> Tensor:
@@ -607,7 +595,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def grad_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
-    h: float = 1e-5,
     coord_limit: int | None = None,
     seed: int = 0,
 ) -> float:
@@ -615,12 +602,11 @@ def grad_check(
 
     ``f`` must rebuild its graph from the current values of ``params`` on
     every call and return a scalar (1x1) Tensor. Returns the max over
-    checked coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
+    checked coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|), with
+    differences taken at a step of ``FD_STEP``.
     ``coord_limit`` optionally caps coordinates per tensor (deterministic
     subsample) for large models.
     """
-    if h <= 0:
-        raise ConfigError(f"grad_check: step must be positive, got {h}")
     params = list(params)
     loss = f()
     if loss.value.size != 1:
@@ -646,14 +632,14 @@ def grad_check(
             coords = range(flat.size)
         for ci in coords:
             orig = flat[ci]
-            flat[ci] = orig + h
+            flat[ci] = orig + FD_STEP
             fp = float(f().value.reshape(-1)[0])
-            flat[ci] = orig - h
+            flat[ci] = orig - FD_STEP
             fm = float(f().value.reshape(-1)[0])
             flat[ci] = orig
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NumericError(f"grad_check: non-finite loss at perturbed coordinate {ci}")
-            fd = (fp - fm) / (2.0 * h)
+            fd = (fp - fm) / (2.0 * FD_STEP)
             ad = float(gflat[ci])
             err = abs(ad - fd) / max(1.0, abs(ad), abs(fd))
             if err > worst:

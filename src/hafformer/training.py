@@ -19,10 +19,15 @@ from .errors import OptimizationError
 from .model import Model, ParameterStore
 from .tensor import cross_entropy
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
-    """AdamW state: decoupled weight decay, bias-corrected moments.
+    """AdamW state: decoupled weight decay, bias-corrected moments with
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Parameters with 1-D values (biases, norm affines) are exempt from
     weight decay.
@@ -30,9 +35,6 @@ class OptimizerState:
 
     lr: float = 2e-3
     weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -60,13 +62,13 @@ def adamw_step(store: ParameterStore, state: OptimizerState) -> None:
         grads[name] = g
 
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in store.items():
         g = grads[name]
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if tensor.value.ndim >= 2:
             update = update + state.weight_decay * tensor.value
         tensor.value = tensor.value - state.lr * update

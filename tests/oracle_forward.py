@@ -139,12 +139,12 @@ def ref_forward(model, x):
             prefix = f"stage{s}.block{b}"
             tparams = {
                 key.rsplit(".", 1)[1]: arr(key)
-                for key in store.names()
+                for key in store
                 if key.startswith(f"{prefix}.token.")
             }
             cparams = {
                 key.rsplit(".", 1)[1]: arr(key)
-                for key in store.names()
+                for key in store
                 if key.startswith(f"{prefix}.channel.")
             }
             h = ref_token_mix(

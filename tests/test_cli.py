@@ -415,6 +415,23 @@ def test_train_rejects_bad_text_and_ids_in_a_dataset_with_exit_2(tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["id-too-long", "record-is-a-directory", "manifest-is-a-directory"])
+def test_a_dataset_the_file_system_cannot_open_exits_2(tmp_path, capsys, case):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    manifest = data_dir / data.MANIFEST_NAME
+    if case == "manifest-is-a-directory":
+        manifest.mkdir()
+    elif case == "record-is-a-directory":
+        (data_dir / "r1.hafe").mkdir()
+        manifest.write_text("r1,0\n", encoding="utf-8")
+    else:
+        manifest.write_text("r" * 300 + ",0\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_rejects_a_parameter_name_that_is_not_utf8_with_exit_2(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()

@@ -84,7 +84,7 @@ def test_cols_mismatch(tmp_path):
     save_embedding(path, EmbeddingRecord("x", np.zeros((2, 512), dtype=np.float32)))
     with pytest.raises(DimensionError, match="512"):
         load_embedding(path)  # default expects 1024
-    rec = load_embedding(path, expected_cols=None)
+    rec = load_embedding(path, expected_cols=512)
     assert rec.features.shape == (2, 512)
 
 

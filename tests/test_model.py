@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hafformer.model import (
     apply_preset,
     build_model,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
 from hafformer.tensor import grad_check
@@ -31,14 +33,14 @@ def test_preset_expansions():
     cfg = ModelConfig()
     h31 = apply_preset(HierarchyPreset.H3_1, cfg)
     assert h31.stage_factors == (4, 2, 2) and h31.stage_depths == (2, 2, 1)
-    assert h31.num_blocks() == 5
+    assert sum(h31.stage_depths) == 5
     h32 = apply_preset(HierarchyPreset.H3_2, cfg)
-    assert h32.stage_depths == (2, 2, 2) and h32.num_blocks() == 6
+    assert h32.stage_depths == (2, 2, 2) and sum(h32.stage_depths) == 6
     h4 = apply_preset(HierarchyPreset.H4, cfg)
     assert len(h4.stage_factors) == 4
-    assert h4.stage_lengths()[-1] == 100
+    assert h4.seq_len // math.prod(h4.stage_factors) == 100  # frames after the last merge
     h2 = apply_preset(HierarchyPreset.H2, cfg)
-    assert h2.stage_lengths() == (800, 400)
+    assert list(h2.seq_len // np.cumprod(h2.stage_factors)) == [800, 400]
 
 
 def test_preset_on_indivisible_seq_len():
@@ -72,7 +74,7 @@ def test_config_validation_names_the_field(field, value):
 def test_build_covers_all_components():
     cfg = ModelConfig()  # MSDW + GEGLU, hierarchy 4/2/2 with depths 2/2/1
     model = build_model(cfg)
-    names = set(model.params.names())
+    names = set(model.params)
     assert "projection.weight" in names and "projection.bias" in names
     for s in range(3):
         assert f"stage{s}.merge.weight" in names
@@ -89,8 +91,64 @@ def test_build_is_deterministic():
     cfg = ModelConfig(seed=42)
     a = build_model(cfg)
     b = build_model(cfg)
-    for name in a.params.names():
+    for name in a.params:
         assert np.array_equal(a.params[name].value, b.params[name].value), name
+
+
+# one block's layout under stage{s}.block{b}., written out independently of mixers
+MSDW_GEGLU_BLOCK = [
+    ("token_norm.gamma", (8,)), ("token_norm.beta", (8,)),
+    ("token.depthwise7", (8, 1, 7)), ("token.depthwise1", (8, 1, 1)),
+    ("channel_norm.gamma", (8,)), ("channel_norm.beta", (8,)),
+    ("channel.w1", (8, 16)), ("channel.b1", (16,)),
+    ("channel.w2", (8, 16)), ("channel.b2", (16,)),
+    ("channel.w3", (16, 8)), ("channel.b3", (8,)),
+]
+ATTENTION_FFN_BLOCK = [
+    ("token_norm.gamma", (8,)), ("token_norm.beta", (8,)),
+    ("token.wq", (8, 8)), ("token.bq", (8,)),
+    ("token.wk", (8, 8)), ("token.bk", (8,)),
+    ("token.wv", (8, 8)), ("token.bv", (8,)),
+    ("token.wo", (8, 8)), ("token.bo", (8,)),
+    ("channel_norm.gamma", (8,)), ("channel_norm.beta", (8,)),
+    ("channel.w_in", (8, 32)), ("channel.b_in", (32,)),
+    ("channel.w_out", (32, 8)), ("channel.b_out", (8,)),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,factors,depths,block",
+    [
+        (ModelConfig(), (4, 2, 2), (2, 2, 1), MSDW_GEGLU_BLOCK),
+        (
+            apply_preset(
+                HierarchyPreset.H4,
+                replace(
+                    ModelConfig(),
+                    token_mixer=TokenMixerKind.SELF_ATTENTION,
+                    channel_mixer=ChannelMixerKind.FFN,
+                ),
+            ),
+            (4, 2, 2, 2),
+            (2, 2, 2, 1),
+            ATTENTION_FFN_BLOCK,
+        ),
+    ],
+)
+def test_param_shapes_order_is_pinned(cfg, factors, depths, block):
+    """The order decides which Philox draws each parameter gets, so it decides
+    the bytes of every checkpoint: it is pinned entry by entry."""
+    want = [("projection.weight", (8, 1024, 3)), ("projection.bias", (8,))]
+    for s, (factor, depth) in enumerate(zip(factors, depths)):
+        want += [(f"stage{s}.merge.weight", (8, 8, factor)), (f"stage{s}.merge.bias", (8,))]
+        for b in range(depth):
+            want += [(f"stage{s}.block{b}.{name}", shape) for name, shape in block]
+    want += [
+        ("final_norm.gamma", (8,)), ("final_norm.beta", (8,)),
+        ("head.fc1.weight", (8, 16)), ("head.fc1.bias", (16,)),
+        ("head.fc2.weight", (16, 2)), ("head.fc2.bias", (2,)),
+    ]
+    assert list(param_shapes(cfg).items()) == want
 
 
 def test_self_attention_ffn_scalar_count():
@@ -134,7 +192,7 @@ def test_forward_rejects_wrong_input_shape():
 
 def test_all_parameters_zero_gives_zero_logits(rng):
     model = build_model(SMALL)
-    for name in model.params.names():
+    for name in model.params:
         t = model.params[name]
         t.value = np.zeros_like(t.value)
     logits = model.forward(rng.standard_normal((64, 16)))
@@ -177,7 +235,7 @@ def test_forward_matches_straight_line_oracle_on_a_short_record(rng):
 def perturb_vectors(model, rng):
     """Give biases and norm affines random values; at their initial zeros
     and ones the zero tail of a short record stays a constant-zero row."""
-    for name in model.params.names():
+    for name in model.params:
         t = model.params[name]
         if t.value.ndim == 1:
             t.value = t.value + 0.1 * rng.standard_normal(t.value.shape)
@@ -313,7 +371,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.cfg == model.cfg
-    for name in model.params.names():
+    for name in model.params:
         value = loaded.params[name].value
         assert np.array_equal(value, model.params[name].value), name
         assert value.dtype == np.float64 and value.flags.writeable, name

@@ -326,13 +326,13 @@ def test_mean_pool_matches_brute_force(rng):
 
 def test_avg_pool_time_preserves_constant_sequences():
     x = np.tile(np.arange(4.0), (9, 1))
-    out = avg_pool_time(Tensor(x), 3)
+    out = avg_pool_time(Tensor(x))
     assert out.value == pytest.approx(x)
 
 
 def test_avg_pool_time_boundary_counts(rng):
     x = rng.standard_normal((5, 2))
-    out = avg_pool_time(Tensor(x), 3).value
+    out = avg_pool_time(Tensor(x)).value
     assert out[0] == pytest.approx(x[:2].mean(axis=0))
     assert out[2] == pytest.approx(x[1:4].mean(axis=0))
     assert out[4] == pytest.approx(x[3:].mean(axis=0))
@@ -340,8 +340,8 @@ def test_avg_pool_time_boundary_counts(rng):
 
 def test_avg_pool_channels_is_time_pool_of_transpose(rng):
     x = rng.standard_normal((6, 9))
-    a = avg_pool_channels(Tensor(x), 3).value
-    b = avg_pool_time(Tensor(x.T), 3).value.T
+    a = avg_pool_channels(Tensor(x)).value
+    b = avg_pool_time(Tensor(x.T)).value.T
     assert np.array_equal(a, b)
 
 

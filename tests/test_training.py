@@ -7,8 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hafformer import mixers, model as model_module, training
-from hafformer.data import Dataset, EmbeddingRecord, pad_or_truncate, synthesize_dataset
+from hafformer import data as data_module, mixers, model as model_module, training
+from hafformer.data import (
+    Dataset,
+    EmbeddingRecord,
+    load_dataset,
+    pad_or_truncate,
+    save_dataset,
+    synthesize_dataset,
+)
 from hafformer.errors import OptimizationError
 from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from hafformer.tensor import Tensor, grad_check
@@ -92,10 +99,7 @@ def test_cross_entropy_gradient_finite_difference(rng):
 
 def test_adamw_pure_decay_on_zero_gradient():
     model = build_model(TINY)
-    weight_before = {
-        n: model.params[n].value.copy()
-        for n in model.params.names()
-    }
+    weight_before = {n: t.value.copy() for n, t in model.params.items()}
     state = init_optimizer(model.params)  # lr 2e-3, wd 1e-5
     model.params.zero_grad()
     adamw_step(model.params, state)
@@ -111,9 +115,9 @@ def test_adamw_pure_decay_on_zero_gradient():
 def test_adamw_first_step_hand_values():
     from hafformer.model import ParameterStore
 
-    store = ParameterStore()
     theta0 = 1.5
-    t = store.add("w.matrix", np.full((1, 1), theta0))
+    t = Tensor(np.full((1, 1), theta0))
+    store = ParameterStore({"w.matrix": t})
     state = init_optimizer(store)
     t.grad = np.ones((1, 1))
     adamw_step(store, state)
@@ -127,7 +131,7 @@ def test_adamw_first_step_hand_values():
 
 def test_adamw_aborts_on_non_finite_gradient():
     model = build_model(TINY)
-    before = {n: model.params[n].value.copy() for n in model.params.names()}
+    before = {n: model.params[n].value.copy() for n in model.params}
     state = init_optimizer(model.params)
     model.params["head.fc1.weight"].grad = np.full((16, 16), np.nan)
     with pytest.raises(OptimizationError, match="head.fc1.weight"):
@@ -142,7 +146,7 @@ def test_adamw_trajectories_are_deterministic():
         model = build_model(replace(TINY, seed=4))
         ds = tiny_dataset(4, seed=10)
         train(model, ds, epochs=3, batch_size=4, seed=1)
-        return {n: model.params[n].value.copy() for n in model.params.names()}
+        return {n: model.params[n].value.copy() for n in model.params}
 
     a, b = run(), run()
     for name in a:
@@ -171,7 +175,7 @@ def test_evaluate_all_correct(rng):
 
 def test_evaluate_constant_predictor_on_balanced_set():
     model = build_model(TINY)
-    for name in model.params.names():
+    for name in model.params:
         t = model.params[name]
         t.value = np.zeros_like(t.value)  # logits [0, 0] -> tie -> class 0
     ds = tiny_dataset(5, seed=3, split="test")
@@ -207,7 +211,7 @@ def test_metrics_to_dict_round_trips_through_json():
 
 def test_zero_epochs_leaves_model_unchanged():
     model = build_model(TINY)
-    before = {n: model.params[n].value.copy() for n in model.params.names()}
+    before = {n: model.params[n].value.copy() for n in model.params}
     log = train(model, tiny_dataset(3, seed=1), epochs=0)
     assert log == []
     for name, b in before.items():
@@ -281,7 +285,7 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
     model = build_model(TINY)
     ds = tiny_dataset(3, seed=4)
     training.train(model, ds, 1, 4, 0)
-    samples, blocks, batches = len(ds), TINY.num_blocks(), 2
+    samples, blocks, batches = len(ds), sum(TINY.stage_depths), 2
     assert strides == [1, *TINY.stage_factors] * batches  # projection first, then the merges
     assert calls == Counter(
         conv1d=batches * (1 + len(TINY.stage_factors)),
@@ -291,6 +295,32 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
         cross_entropy=batches,
         adamw_step=batches,
     )
+
+
+def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
+    """Per-layer tracing of inference wraps ``data.load_embedding`` and
+    ``model.conv1d``: loading a dataset and evaluating it call them there."""
+    files, weights = [], []
+    load_embedding, conv1d = data_module.load_embedding, model_module.conv1d
+
+    def counting_load(path, *args, **kwargs):
+        files.append(path.name)
+        return load_embedding(path, *args, **kwargs)
+
+    def counting_conv(x, weight, *args, **kwargs):
+        weights.append(weight)
+        return conv1d(x, weight, *args, **kwargs)
+
+    monkeypatch.setattr(data_module, "load_embedding", counting_load)
+    monkeypatch.setattr(model_module, "conv1d", counting_conv)
+    ds = tiny_dataset(2, seed=5, split="test")
+    save_dataset(tmp_path, ds)
+    loaded = load_dataset(tmp_path, "test", expected_cols=TINY.input_dim)
+    assert files == [f"{r.id}.hafe" for r in ds.records]
+    model = build_model(TINY)
+    evaluate(model, loaded)
+    merges = [model.params[f"stage{s}.merge.weight"] for s in range(len(TINY.stage_factors))]
+    assert weights == [model.params["projection.weight"], *merges] * len(ds)  # projection first
 
 
 def test_train_on_short_records_holds_no_padded_copy():
@@ -325,7 +355,7 @@ def test_training_on_short_records_matches_their_zero_padded_copies():
     for a, b in zip(short_log, padded_log):
         assert a["mean_loss"] == pytest.approx(b["mean_loss"], rel=1e-12)
         assert a["train_acc"] == b["train_acc"]
-    for name in short_model.params.names():
+    for name in short_model.params:
         want = padded_model.params[name].value
         got = short_model.params[name].value
         assert np.max(np.abs(got - want)) <= 1e-9 * max(np.max(np.abs(want)), 1.0), name
