@@ -86,6 +86,7 @@ def parse_run_config(path) -> RunConfig:
     model_fields: dict = {}
     run_fields: dict = {}
     hierarchy: HierarchyPreset | None = None
+    seen: dict[str, int] = {}  # key -> the line that gave it
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
@@ -99,6 +100,9 @@ def parse_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         raw_value = raw_value.strip()
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is also given on line {seen[key]}")
+        seen[key] = lineno
         try:
             if key == "hierarchy":
                 hierarchy = HierarchyPreset(raw_value)

@@ -26,7 +26,7 @@ from .tensor import (
     add_centre_tap,
     avg_pool_channels,
     avg_pool_time,
-    conv1d,
+    depthwise_conv1d,
     gelu,
     layer_norm,
     matmul,
@@ -152,25 +152,15 @@ def token_mix(
         out = z
     elif kind == TokenMixerKind.ISC:
         hidden = gelu(matmul(z, params["expand"]))
-        hidden = gelu(
-            conv1d(
-                hidden,
-                params["depthwise"],
-                stride=1,
-                padding=DW_KERNEL // 2,
-                groups=hidden.value.shape[-1],
-            )
-        )
+        hidden = gelu(depthwise_conv1d(hidden, params["depthwise"]))
         out = matmul(hidden, params["project"])
     elif kind == TokenMixerKind.DW:
-        out = conv1d(
-            z, params["depthwise"], stride=1, padding=DW_KERNEL // 2, groups=z.value.shape[-1]
-        )
+        out = depthwise_conv1d(z, params["depthwise"])
     elif kind == TokenMixerKind.MSDW:
         # the k=1 branch reads the same rows as the centre tap of the k=7 one,
         # so the two branches are one depthwise conv with the kernels summed
         kernel = add_centre_tap(params["depthwise7"], params["depthwise1"])
-        out = gelu(conv1d(z, kernel, stride=1, padding=DW_KERNEL // 2, groups=z.value.shape[-1]))
+        out = gelu(depthwise_conv1d(z, kernel))
     else:
         raise ConfigError(f"unknown token mixer kind: {kind}")
     return add(out, x)

@@ -194,10 +194,11 @@ class Model:
         rounding: the projection's GEMM sums in an order that depends on the
         row count). Records may be float32: the projection casts each one's
         given frames to float64 a block at a time for its GEMMs, and only
-        those frames are multiplied. Its output has ``seq_len`` frames per record, the tail
-        rows being its bias, and everything after it, the mean pool
-        included, runs over all ``seq_len`` frames. ``trace``, when given,
-        collects the (frames, channels) shape of a record after each stage.
+        those frames are multiplied. Its output has ``seq_len`` frames per
+        record, the tail rows being its bias, and everything after it, the
+        mean pool included, runs over all ``seq_len`` frames. ``trace``, when
+        given, collects the (frames, channels) shape of a record after each
+        stage.
         """
         cfg = self.cfg
         records = list(x) if isinstance(x, (list, tuple)) else [x]
@@ -211,21 +212,10 @@ class Model:
                 )
         store = self.params
         h = conv1d(
-            records,
-            store["projection.weight"],
-            store["projection.bias"],
-            stride=1,
-            padding=cfg.proj_kernel // 2,
-            length=cfg.seq_len,
+            records, store["projection.weight"], store["projection.bias"], length=cfg.seq_len
         )
-        for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
-            h = conv1d(
-                h,
-                store[f"stage{s}.merge.weight"],
-                store[f"stage{s}.merge.bias"],
-                stride=factor,
-                padding=0,
-            )
+        for s, depth in enumerate(cfg.stage_depths):
+            h = conv1d(h, store[f"stage{s}.merge.weight"], store[f"stage{s}.merge.bias"])
             for b in range(depth):
                 h = afformer_block(
                     cfg.token_mixer,
@@ -327,6 +317,8 @@ def load_checkpoint(path) -> Model:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "name length"))
             name = _read_utf8(fh, name_len, path, "parameter name")
+            if name in values:
+                raise CorruptionError(f"{path}: parameter {name} is listed twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "shape"))
             values[name] = shape, _read_exact(fh, 8 * math.prod(shape), path, f"values of {name}")

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 GELU_TANH_C0 = 0.7978845608028654  # sqrt(2/pi)
 GELU_TANH_C1 = 0.044715
@@ -343,21 +343,20 @@ def mean_pool_time(x: Tensor) -> Tensor:
 # temporal convolution
 
 
-def _tap_slices(L: int, lout: int, k: int, stride: int, padding: int):
-    """Per tap ``t``, the output rows and input rows it pairs, skipping padding.
+def _tap_slices(L: int, lout: int, k: int):
+    """Per tap ``t`` of a same-padded kernel of odd width ``k``, the output
+    rows and input rows it pairs, skipping padding.
 
-    Output row ``i`` reads input row ``i*stride + t - padding``; the pairs
-    whose input row lies inside ``[0, L)`` are ``out[i_lo:i_hi]`` and
-    ``inp[r_lo:r_hi:stride]``. Taps that reach no input row are left out.
+    Output row ``i`` reads input row ``i + t - k // 2``; the pairs whose input
+    row lies inside ``[0, L)`` are ``out[i_lo:i_hi]`` and ``inp[r_lo:r_hi]``.
+    Taps that reach no input row are left out.
     """
+    p = k // 2
     taps = []
     for t in range(k):
-        i_lo = max(0, -((t - padding) // stride))  # ceil((padding - t) / stride)
-        i_hi = min(lout, (L - 1 - t + padding) // stride + 1)
+        i_lo, i_hi = max(0, p - t), min(lout, L + p - t)
         if i_hi > i_lo:
-            r_lo = i_lo * stride + t - padding
-            r_hi = (i_hi - 1) * stride + t - padding + 1
-            taps.append((t, slice(i_lo, i_hi), slice(r_lo, r_hi, stride)))
+            taps.append((t, slice(i_lo, i_hi), slice(i_lo + t - p, i_hi + t - p)))
     return taps
 
 
@@ -371,8 +370,8 @@ def _cast_blocks(s: np.ndarray, buf: np.ndarray):
 
 
 def add_centre_tap(weight: Tensor, tap: Tensor) -> Tensor:
-    """``weight`` (Cout, Cin/groups, k), k odd, plus the one-tap kernel ``tap``
-    (Cout, Cin/groups, 1) at its centre tap.
+    """``weight`` (C, 1, k), k odd, plus the one-tap kernel ``tap`` (C, 1, 1)
+    at its centre tap.
 
     A same-padded conv with the sum equals the sum of a same-padded conv
     with ``weight`` and a conv with ``tap``, at the cost of one conv.
@@ -386,136 +385,85 @@ def add_centre_tap(weight: Tensor, tap: Tensor) -> Tensor:
     return Tensor(out, (weight, tap), (lambda g: g, lambda g: g[:, :, c : c + 1].copy()))
 
 
-def conv1d(
-    x,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    *,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-    length: int | None = None,
-) -> Tensor:
-    """Temporal convolution along the frame axis with zero padding.
+def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
+    """Same-padded depthwise convolution along the frame axis, stride 1, no bias.
 
-    ``x`` is a Tensor of one sequence (rows, Cin) or of a batch (B, rows,
-    Cin), or a list of B record matrices (rows_b, Cin) of any float dtype,
-    which take no gradient. Each sequence holds the first rows of an input
-    of ``length`` frames (default: the most rows given) whose other rows
-    are zero; ``weight`` is (Cout, Cin/groups, k). Each output
-    sequence has floor((length + 2p - k)/s) + 1 frames: the output is
-    (lout, Cout) for a 2-D Tensor and (B, lout, Cout) otherwise. The
-    gradient with respect to a Tensor ``x`` has its shape: the zero tail is
-    never materialized, and no product is taken with it. Two groupings are
-    supported: dense (groups == 1) and depthwise (groups == Cin == Cout,
-    one input channel per group, Tensor ``x`` only); any other grouping
-    raises ``ConfigError``.
+    ``x`` is (L, C) or (B, L, C) and ``weight`` is (C, 1, k), k odd: channel c
+    of the output is channel c of ``x`` correlated with ``weight[c, 0]``, with
+    zeros beyond either end, so the output has the shape of ``x``. One scaled
+    add per tap over the whole batch, for the output, dX and dW alike.
+    """
+    _require_frames(x, "depthwise_conv1d")
+    xv, w = x.value, weight.value
+    L, C = xv.shape[-2:]
+    if w.ndim != 3 or w.shape[:2] != (C, 1) or w.shape[2] % 2 == 0:
+        raise ShapeError(f"depthwise_conv1d: weight {w.shape} is not ({C}, 1, k), k odd")
+    taps = _tap_slices(L, L, w.shape[2])
+    y = np.zeros(xv.shape, dtype=xv.dtype)
+    for t, out_rows, in_rows in taps:
+        y[..., out_rows, :] += xv[..., in_rows, :] * w[:, 0, t]
 
-    Dense merge (k == stride, no padding, Tensor ``x``; the model's
-    downsampling): every input row meets exactly one tap, so the first
-    lout*k rows of every sequence reshape to ``X_r`` (B*lout, k*Cin) and the
-    output is one GEMM ``X_r @ W_r`` with ``W_r`` the weight laid out as
-    (k*Cin, Cout); ``dX = g @ W_r.T`` reshaped back (trailing frames that
-    no window reaches get zeros) and ``dW = X_r.T @ g``. Nothing is
-    computed for taps that are not used. Taken only when ``length`` is the
-    rows of ``x``.
+    def dx(g):
+        gx = np.zeros_like(xv)
+        for t, out_rows, in_rows in taps:
+            gx[..., in_rows, :] += g[..., out_rows, :] * w[:, 0, t]
+        return gx
 
-    Other dense convs (the projection) run sequence by sequence over its
-    real rows, which are cast to float64 ``CAST_BLOCK_ROWS`` at a time into
-    one reused buffer: per block, one GEMM against all taps at once,
-    ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight laid out as
-    (k*Cout, Cin); then a strided shift-add: output row i sums
-    ``P[i*s + t - p, tap t]`` over the taps t whose input row is one of the
-    real rows; output rows that reach none of them are the bias. For the
-    skinny float64 projection (Cin = 1024, k*Cout = 24) this orientation
-    of the GEMM is the faster one. The backward pass scatters each
-    sequence's upstream gradient once into ``G_cat`` (rows, k*Cout) with
-    the same index map, then ``dW`` sums ``G_cat.T @ X`` over the blocks,
-    cast again (again the faster orientation), and ``dX = G_cat @
-    W_cat.T``. No padded copy of an input is made, and no float64 copy of
-    more than one block exists at any time, so the cast costs about 1 MB
-    however long and however many the records. Depthwise: the same index
-    map, one scaled add per tap over the whole batch.
+    def dw(g):
+        gw = np.zeros_like(w)
+        for t, out_rows, in_rows in taps:
+            gw[:, 0, t] = _col_sum(g[..., out_rows, :] * xv[..., in_rows, :])
+        return gw
+
+    return Tensor(y, (x, weight), (dx, dw))
+
+
+def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Tensor:
+    """The model's two dense convolutions along the frame axis, each with a
+    bias; ``weight`` is (Cout, Cin, k) and the kind of ``x`` picks the conv.
+
+    A list of B records (rows_b, Cin) of any float dtype is the projection:
+    same padding (k odd), stride 1, over ``length`` frames (default: the most
+    rows given) of which each record holds the first rows, the rest being
+    zero. The output is (B, length, Cout); no gradient flows to the records.
+    Each record's real rows are cast to float64 ``CAST_BLOCK_ROWS`` at a time
+    into one reused buffer, and each block takes one GEMM against all taps,
+    ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight as (k*Cout, Cin), the
+    faster orientation for the skinny projection (Cin = 1024, k*Cout = 24).
+    Output row i then sums ``P[i + t - k//2, tap t]`` over the taps t that
+    reach a real row; rows that reach none are the bias. The backward pass
+    scatters each record's upstream gradient into ``G_cat`` (rows, k*Cout)
+    by the same index map and sums ``dW = G_cat.T @ X`` over the blocks, cast
+    again. No padded copy of a record is made and no float64 copy of more
+    than one block exists at a time, so the cast holds about 1 MB.
+
+    A Tensor (L, Cin) or (B, L, Cin), L a multiple of k, is a merge: stride
+    k, no padding, so every input row meets one tap. Each sequence reshapes
+    to ``X_r`` (L/k, k*Cin); the output is one GEMM ``X_r @ W_r`` with
+    ``W_r`` the weight as (k*Cin, Cout), ``dX = g @ W_r.T`` reshaped back and
+    ``dW = X_r.T @ g``.
     """
     w = weight.value
     if w.ndim != 3:
-        raise ShapeError(f"conv1d: weight must be 3-D (Cout, Cin/groups, k), got {w.shape}")
-    records = isinstance(x, (list, tuple))
-    if records:
+        raise ShapeError(f"conv1d: weight must be 3-D (Cout, Cin, k), got {w.shape}")
+    cout, wcin, k = w.shape
+    if bias.value.shape != (cout,):
+        raise ShapeError(f"conv1d: bias shape {bias.value.shape} != ({cout},)")
+
+    if isinstance(x, (list, tuple)):
         seqs = [np.asarray(r) for r in x]
         if not seqs or any(r.ndim != 2 or r.shape[1] != seqs[0].shape[1] for r in seqs):
             raise ShapeError("conv1d: expected a non-empty list of (rows, channels) records of one width")
         L, cin = max(r.shape[0] for r in seqs), seqs[0].shape[1]
-    else:
-        _require_frames(x, "conv1d")
-        xv = x.value
-        L, cin = xv.shape[-2:]
-        seqs = [xv] if xv.ndim == 2 else list(xv)
-    length = L if length is None else length
-    if length < L:
-        raise ShapeError(f"conv1d: length {length} is shorter than the {L} rows given")
-    cout, cpg, k = w.shape
-    if stride < 1:
-        raise ConfigError(f"conv1d: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ConfigError(f"conv1d: padding must be >= 0, got {padding}")
-    depthwise = groups != 1
-    if depthwise and (records or not groups == cin == cout):
-        raise ConfigError(
-            f"conv1d: groups={groups} with channels {cin} -> {cout}; only dense "
-            "(groups=1) and depthwise (groups=Cin=Cout, Tensor input) convolutions are supported"
-        )
-    if cpg != cin // groups:
-        raise ShapeError(
-            f"conv1d: weight {w.shape} does not match {cin} input channels with groups={groups}"
-        )
-    if k > length + 2 * padding:
-        raise ConfigError(f"conv1d: kernel {k} exceeds padded length {length + 2 * padding}")
-    if bias is not None and bias.value.shape != (cout,):
-        raise ShapeError(f"conv1d: bias shape {bias.value.shape} != ({cout},)")
-
-    lout = (length + 2 * padding - k) // stride + 1
-
-    if depthwise:
-        taps = _tap_slices(L, lout, k, stride, padding)
-        y = np.zeros(xv.shape[:-2] + (lout, cout), dtype=xv.dtype)
-        for t, out_rows, in_rows in taps:
-            y[..., out_rows, :] += xv[..., in_rows, :] * w[:, 0, t]
-
-        def dx(g):
-            gx = np.zeros_like(xv)
-            for t, out_rows, in_rows in taps:
-                gx[..., in_rows, :] += g[..., out_rows, :] * w[:, 0, t]
-            return gx
-
-        def dw(g):
-            gw = np.zeros_like(w)
-            for t, out_rows, in_rows in taps:
-                gw[:, 0, t] = _col_sum(g[..., out_rows, :] * xv[..., in_rows, :])
-            return gw
-
-    elif not records and k == stride and padding == 0 and length == L:
-        n = lout * k
-        lead = xv.shape[:-2]
-        w_r = w.transpose(2, 1, 0).reshape(k * cin, cout)
-        x_r = xv[..., :n, :].reshape(-1, k * cin)
-        y = (x_r @ w_r).reshape(lead + (lout, cout))
-
-        def dx(g):
-            gx = (_rows(g) @ w_r.T).reshape(lead + (n, cin))
-            if n < L:
-                gx = np.concatenate([gx, np.zeros(lead + (L - n, cin), dtype=gx.dtype)], axis=-2)
-            return gx
-
-        def dw(g):
-            return (x_r.T @ _rows(g)).reshape(k, cin, cout).transpose(2, 1, 0)
-
-    else:
+        length = L if length is None else length
+        if length < L:
+            raise ShapeError(f"conv1d: length {length} is shorter than the {L} rows given")
+        if wcin != cin or k % 2 == 0:
+            raise ShapeError(f"conv1d: weight {w.shape} is not (Cout, {cin}, k), k odd")
         w_cat_t = w.transpose(2, 0, 1).reshape(k * cout, cin)
-        taps = [_tap_slices(s.shape[0], lout, k, stride, padding) for s in seqs]
-        block_rows = max(1, min(L, CAST_BLOCK_ROWS))
-        y = np.zeros((len(seqs), lout, cout))
-        buf = np.empty((block_rows, cin))
+        taps = [_tap_slices(s.shape[0], length, k) for s in seqs]
+        y = np.zeros((len(seqs), length, cout))
+        buf = np.empty((max(1, min(L, CAST_BLOCK_ROWS)), cin))
         for y_b, s, taps_b in zip(y, seqs, taps):
             p_t = np.empty((k * cout, s.shape[0]))
             for rows, x64 in _cast_blocks(s, buf):
@@ -523,36 +471,40 @@ def conv1d(
             p_t = p_t.reshape(k, cout, s.shape[0])
             for t, out_rows, in_rows in taps_b:
                 y_b[out_rows] += p_t[t, :, in_rows].T
-        if not records and xv.ndim == 2:
-            y = y[0]
-
-        def scatter(g_b, rows, taps_b):
-            g_cat = np.zeros((rows, k, cout), dtype=g_b.dtype)
-            for t, out_rows, in_rows in taps_b:
-                g_cat[in_rows, t] = g_b[out_rows]
-            return g_cat.reshape(rows, k * cout)
-
-        def dx(g):
-            per_seq = zip(g.reshape(-1, lout, cout), seqs, taps)
-            gx = [scatter(g_b, s.shape[0], taps_b) @ w_cat_t for g_b, s, taps_b in per_seq]
-            return np.stack(gx).reshape(xv.shape)
+        y += bias.value
 
         def dw(g):
             # (k*Cout, Cin) -> (Cout, Cin, k); G_cat.T @ X is the faster orientation
             gw = np.zeros((k * cout, cin))
-            for g_b, s, taps_b in zip(g.reshape(-1, lout, cout), seqs, taps):
-                g_cat = scatter(g_b, s.shape[0], taps_b)
+            for g_b, s, taps_b in zip(g, seqs, taps):
+                g_cat = np.zeros((s.shape[0], k, cout))
+                for t, out_rows, in_rows in taps_b:
+                    g_cat[in_rows, t] = g_b[out_rows]
+                g_cat = g_cat.reshape(s.shape[0], k * cout)
                 for rows, x64 in _cast_blocks(s, buf):
                     gw += g_cat[rows].T @ x64
             return gw.reshape(k, cout, cin).transpose(1, 2, 0)
 
-    if bias is not None:
-        y += bias.value
+        return Tensor(y, (weight, bias), (dw, _col_sum))
 
-    inputs, vjps = ((), ()) if records else ((x,), (dx,))
-    if bias is None:
-        return Tensor(y, (*inputs, weight), (*vjps, dw))
-    return Tensor(y, (*inputs, weight, bias), (*vjps, dw, _col_sum))
+    _require_frames(x, "conv1d")
+    xv = x.value
+    L, cin = xv.shape[-2:]
+    if length is not None:
+        raise ShapeError("conv1d: length applies to a list of records only")
+    if wcin != cin or L % k:
+        raise ShapeError(f"conv1d: merge weight {w.shape} does not fit {L} frames of width {cin}")
+    w_r = w.transpose(2, 1, 0).reshape(k * cin, cout)
+    x_r = xv.reshape(-1, k * cin)
+    y = (x_r @ w_r).reshape(xv.shape[:-2] + (L // k, cout)) + bias.value
+
+    def dx(g):
+        return (_rows(g) @ w_r.T).reshape(xv.shape)
+
+    def dw(g):
+        return (x_r.T @ _rows(g)).reshape(k, cin, cout).transpose(2, 1, 0)
+
+    return Tensor(y, (x, weight, bias), (dx, dw, _col_sum))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from hafformer.mixers import ChannelMixerKind, TokenMixerKind
 from hafformer.model import ModelConfig, build_model, save_checkpoint
 from hafformer.tensor import Tensor
 
+from test_model import with_a_repeated_parameter
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -210,6 +212,14 @@ def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block, encoding="utf-8")
     assert cli.parse_run_config(path) == cli.RunConfig()
+
+
+def test_readme_layout_lists_every_module():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Layout") :].split("```\n")[1]
+    listed = re.findall(r"^  (\S+\.py) ", section, flags=re.MULTILINE)
+    modules = Path(cli.__file__).parent.glob("*.py")
+    assert sorted(listed) == sorted(module.name for module in modules)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +450,28 @@ def test_eval_rejects_a_parameter_name_that_is_not_utf8_with_exit_2(tmp_path, ca
     path.write_bytes(path.read_bytes().replace(b"projection.weight", b"\xffrojection.weight"))
     assert run_cli("eval", "--out", str(out_dir)) == 2
     assert "parameter name is not UTF-8" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_that_lists_a_parameter_twice_with_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    path = out_dir / cli.CHECKPOINT_NAME
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), path)
+    path.write_bytes(with_a_repeated_parameter(path.read_bytes(), "final_norm.beta"))
+    assert run_cli("eval", "--out", str(out_dir)) == 2
+    assert "parameter final_norm.beta is listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [("epochs = 3", "epochs = 5"), ("hierarchy = h2", "hierarchy = h4"), ("seed = 1", "seed = 1")],
+)
+def test_a_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys, first, second):
+    path = tmp_path / "twice.cfg"
+    path.write_text(f"{first}\nseq_len = 64\n\n{second}\n", encoding="utf-8")
+    assert run_cli("analyze", "--config", str(path)) == 2
+    key = first.split()[0]
+    assert f"twice.cfg:4: key {key!r} is also given on line 1" in capsys.readouterr().err
 
 
 def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):

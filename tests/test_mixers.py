@@ -18,7 +18,7 @@ from hafformer.mixers import (
     token_mix,
     token_param_shapes,
 )
-from hafformer.tensor import Tensor, add, conv1d, gelu, grad_check, layer_norm, sum_all
+from hafformer.tensor import Tensor, add, depthwise_conv1d, gelu, grad_check, layer_norm, sum_all
 
 from oracle_forward import ref_attention
 
@@ -71,8 +71,8 @@ def test_msdw_folded_kernel_matches_the_two_branch_form(rng, shape):
 
     def two_branch(p, xt):
         z = layer_norm(xt, gamma, beta)
-        wide = conv1d(z, p["depthwise7"], stride=1, padding=3, groups=d)
-        narrow = conv1d(z, p["depthwise1"], stride=1, padding=0, groups=d)
+        wide = depthwise_conv1d(z, p["depthwise7"])
+        narrow = depthwise_conv1d(z, p["depthwise1"])
         return add(gelu(add(wide, narrow)), xt)
 
     folded = run(lambda p, xt: token_mix(TokenMixerKind.MSDW, p, gamma, beta, xt))

@@ -478,6 +478,36 @@ def split_config_block(raw: bytes) -> tuple[bytes, bytes, bytes]:
     return raw[:8], raw[12 : 12 + cfg_len], raw[12 + cfg_len :]
 
 
+def with_a_repeated_parameter(raw: bytes, name: str) -> bytes:
+    """``raw`` with a zero-valued copy of parameter ``name`` listed before it
+    and the parameter count raised by one to cover it."""
+    head, cfg_json, params = split_config_block(raw)
+    count = int.from_bytes(params[:4], "little")
+    encoded = name.encode("utf-8")
+    start = params.index(len(encoded).to_bytes(2, "little") + encoded)
+    at_dims = start + 2 + len(encoded) + 1
+    ndim = params[at_dims - 1]
+    dims = np.frombuffer(params[at_dims : at_dims + 4 * ndim], dtype="<u4")
+    copy = params[start : at_dims + 4 * ndim] + bytes(8 * int(dims.prod()))
+    return (
+        head
+        + len(cfg_json).to_bytes(4, "little")
+        + cfg_json
+        + (count + 1).to_bytes(4, "little")
+        + params[4:start]
+        + copy
+        + params[start:]
+    )
+
+
+def test_checkpoint_that_lists_a_parameter_twice_is_corrupt(tmp_path):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(SMALL), path)
+    path.write_bytes(with_a_repeated_parameter(path.read_bytes(), "final_norm.beta"))
+    with pytest.raises(CorruptionError, match="parameter final_norm.beta is listed twice"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_config_block_of_the_default_model(tmp_path):
     path = tmp_path / "model.hafc"
     save_checkpoint(build_model(ModelConfig()), path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hafformer.errors import ConfigError, NumericError, ShapeError
+from hafformer.errors import NumericError, ShapeError
 from hafformer.tensor import (
     Tensor,
     add,
@@ -15,6 +15,7 @@ from hafformer.tensor import (
     avg_pool_time,
     conv1d,
     cross_entropy,
+    depthwise_conv1d,
     gelu,
     grad_check,
     layer_norm,
@@ -88,125 +89,131 @@ def test_matmul_shape_error_reports_both_shapes():
 
 
 # ---------------------------------------------------------------------------
-# conv1d
+# depthwise_conv1d and conv1d
 
 
 def test_conv1d_depthwise_identity_kernel(rng):
     x = rng.standard_normal((10, 4))
-    w = np.ones((4, 1, 1))
-    out = conv1d(Tensor(x), Tensor(w), stride=1, padding=0, groups=4)
+    out = depthwise_conv1d(Tensor(x), Tensor(np.ones((4, 1, 1))))
     assert np.array_equal(out.value, x)
 
 
 def test_conv1d_depthwise_constant_boundary():
     c = 1.5
     x = np.full((8, 3), c)
-    w = np.ones((3, 1, 3))
-    out = conv1d(Tensor(x), Tensor(w), stride=1, padding=1, groups=3)
+    out = depthwise_conv1d(Tensor(x), Tensor(np.ones((3, 1, 3))))
     assert out.value[1:-1] == pytest.approx(np.full((6, 3), 3 * c))
     assert out.value[0] == pytest.approx(np.full(3, 2 * c))
     assert out.value[-1] == pytest.approx(np.full(3, 2 * c))
 
 
-# (L, k, stride, padding) for dense convs: the model's projection and merge
-# shapes, k < stride, k > stride, padding with stride > 1, trailing frames
-# that no window reaches, and windows that lie partly or wholly in the padding
-CONV_GRID = [
-    (16, 3, 1, 1),
-    (16, 4, 4, 0),
-    (10, 2, 3, 0),
-    (11, 5, 2, 0),
-    (9, 3, 2, 1),
-    (12, 3, 4, 2),
-    (13, 4, 4, 0),
-    (7, 5, 3, 3),
-    (4, 2, 3, 3),
-]
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("L", [1, 2, 6, 7, 200])
+def test_depthwise_conv1d_matches_brute_force_on_a_batch(rng, L, k):
+    # L < k: the stages of a 64-frame h4 model reach 2 frames
+    x = rng.standard_normal((3, L, 5))
+    w = rng.standard_normal((5, 1, k))
+    out = depthwise_conv1d(Tensor(x), Tensor(w))
+    expect = np.stack([brute_conv1d(seq, w, padding=k // 2, groups=5) for seq in x])
+    assert out.value.shape == x.shape
+    assert np.max(np.abs(out.value - expect)) < 1e-12
 
 
-@pytest.mark.parametrize("L,k,stride,padding", [(3200, 3, 1, 1), (3200, 4, 4, 0), *CONV_GRID])
+@pytest.mark.parametrize("shape", [(4, 2, 3), (5, 1, 3), (4, 1, 2)])
+def test_depthwise_conv1d_rejects_a_weight_that_is_not_c_1_k_odd(shape):
+    with pytest.raises(ShapeError, match="depthwise_conv1d"):
+        depthwise_conv1d(Tensor(np.zeros((8, 4))), Tensor(np.zeros(shape)))
+
+
+# (L, k, stride, padding) of the two dense convs on a whole input: the
+# projection (stride 1, same padding) and the merge (stride k, no padding)
+@pytest.mark.parametrize("L,k,stride,padding", [(3200, 3, 1, 1), (3200, 4, 4, 0), (16, 3, 1, 1), (16, 4, 4, 0)])
 def test_conv1d_merge_shape_and_values(rng, L, k, stride, padding):
     x = rng.standard_normal((L, 6))
     w = rng.standard_normal((5, 6, k))
     b = rng.standard_normal(5)
-    out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-    assert out.value.shape == ((L + 2 * padding - k) // stride + 1, 5)
+    if stride == 1:
+        out = conv1d([x], Tensor(w), Tensor(b)).value[0]
+    else:
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b)).value
+    assert out.shape == ((L + 2 * padding - k) // stride + 1, 5)
     expect = brute_conv1d(x, w, b, stride=stride, padding=padding)
-    assert np.max(np.abs(out.value - expect)) < 1e-12
+    assert np.max(np.abs(out - expect)) < 1e-12
 
 
-def _length_cases():
-    """(L, k, stride, padding, rows): each grid case given its first rows only."""
-    for L, k, stride, padding in CONV_GRID:
-        for rows in sorted({1, L // 2, L - 1}):
-            yield L, k, stride, padding, rows
+@pytest.mark.parametrize("L,s", [(12, 3), (3200, 4), (10, 2), (7, 7), (5, 1)])
+def test_conv1d_stride_equals_kernel_exact_downsample(rng, L, s):
+    x = rng.standard_normal((L, 6))
+    w = rng.standard_normal((5, 6, s))
+    b = rng.standard_normal(5)
+    out = conv1d(Tensor(x), Tensor(w), Tensor(b))
+    assert out.value.shape == (L // s, 5)
+    assert np.max(np.abs(out.value - brute_conv1d(x, w, b, stride=s))) < 1e-12
 
 
-@pytest.mark.parametrize("L,k,stride,padding,rows", [(3200, 3, 1, 1, 1999), *_length_cases()])
+def test_conv1d_merge_of_a_batch_merges_each_sequence(rng):
+    x = rng.standard_normal((3, 12, 6))
+    w, b = Tensor(rng.standard_normal((5, 6, 4))), Tensor(rng.standard_normal(5))
+    out = conv1d(Tensor(x), w, b).value
+    assert out.shape == (3, 3, 5)
+    for seq, got in zip(x, out):
+        assert np.max(np.abs(got - conv1d(Tensor(seq), w, b).value)) < 1e-12
+
+
+def test_conv1d_merge_rejects_uneven_frames_and_a_length():
+    w, b = Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match="13 frames"):
+        conv1d(Tensor(np.zeros((13, 2))), w, b)
+    with pytest.raises(ShapeError, match="length"):
+        conv1d(Tensor(np.zeros((12, 2))), w, b, length=12)
+
+
+def _projection_cases():
+    """(L, k, stride, padding, rows): the projection's stride 1 and same
+    padding, given records of 1, L//2, L-1 and L rows of L frames."""
+    for L in (2, 16):
+        for k in (1, 3, 5):
+            for rows in sorted({1, L // 2, L - 1, L}):
+                yield L, k, 1, k // 2, rows
+
+
+@pytest.mark.parametrize(
+    "L,k,stride,padding,rows", [(3200, 3, 1, 1, 1999), (3200, 3, 1, 1, 3200), *_projection_cases()]
+)
 def test_conv1d_length_matches_the_zero_extended_input(rng, L, k, stride, padding, rows):
-    x = rng.standard_normal((rows, 6))
+    # a float64 record of ``rows`` rows and a float32 one of the rest, in one call
+    records = [rng.standard_normal((rows, 6)), rng.standard_normal((L - rows + 1, 6)).astype(np.float32)]
     w = rng.standard_normal((5, 6, k))
     b = rng.standard_normal(5)
-    out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding, length=L)
-    extended = np.concatenate([x, np.zeros((L - rows, 6))])
-    expect = brute_conv1d(extended, w, b, stride=stride, padding=padding)
-    assert out.value.shape == expect.shape
-    assert np.max(np.abs(out.value - expect)) < 1e-12
-
-
-def test_conv1d_length_gradients_cover_the_given_rows_only(rng):
-    x = Tensor(rng.standard_normal((5, 3)))
-    w = Tensor(rng.standard_normal((2, 3, 3)))
-    b = Tensor(rng.standard_normal(2))
-    g = rng.standard_normal((16, 2))
-    conv1d(x, w, b, padding=1, length=16).backward(g)
-    full = Tensor(np.concatenate([x.value, np.zeros((11, 3))]))
-    w_full, b_full = Tensor(w.value), Tensor(b.value)
-    conv1d(full, w_full, b_full, padding=1).backward(g)
-    assert x.grad.shape == (5, 3)
-    assert np.max(np.abs(x.grad - full.grad[:5])) < 1e-12
-    assert np.max(np.abs(w.grad - w_full.grad)) < 1e-12
-    assert np.max(np.abs(b.grad - b_full.grad)) < 1e-12
+    out = conv1d(records, Tensor(w), Tensor(b), length=L)
+    assert out.value.shape == (2, L, 5)
+    for got, record in zip(out.value, records):
+        extended = np.concatenate([record, np.zeros((L - record.shape[0], 6))])
+        expect = brute_conv1d(extended, w, b, stride=stride, padding=padding)
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_conv1d_length_shorter_than_the_rows_is_rejected():
     with pytest.raises(ShapeError, match="length 3"):
-        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 3))), padding=1, length=3)
+        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(2)), length=3)
 
 
-@pytest.mark.parametrize("groups,cin,cout", [(3, 4, 4), (0, 4, 4), (4, 4, 6), (2, 6, 4)])
-def test_conv1d_invalid_grouping(groups, cin, cout):
-    with pytest.raises(ConfigError):
-        conv1d(
-            Tensor(np.zeros((8, cin))),
-            Tensor(np.zeros((cout, max(cin // max(groups, 1), 1), 3))),
-            groups=groups,
-        )
-
-
-def test_conv1d_kernel_longer_than_padded_input():
-    with pytest.raises(ConfigError):
-        conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2, 7))), padding=1)
-
-
-@pytest.mark.parametrize("L,s", [(12, 3), (3200, 4), (10, 2), (7, 7)])
-def test_conv1d_stride_equals_kernel_exact_downsample(rng, L, s):
-    x = rng.standard_normal((L, 2))
-    w = rng.standard_normal((2, 2, s))
-    out = conv1d(Tensor(x), Tensor(w), stride=s, padding=0)
-    assert out.value.shape == (L // s, 2)
+def test_conv1d_projection_rejects_an_even_kernel():
+    with pytest.raises(ShapeError, match="k odd"):
+        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
 
 
 def test_conv1d_dense_forward_makes_no_copy_of_the_input(rng):
-    x = Tensor(rng.standard_normal((3200, 1024)), requires_grad=False)
+    x = rng.standard_normal((3200, 1024), dtype=np.float32)
     w = Tensor(rng.standard_normal((8, 1024, 3)))
+    b = Tensor(np.zeros(8))
     tracemalloc.start()
     try:
-        conv1d(x, w, padding=1)
+        conv1d([x], w, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < x.value.nbytes
+    assert peak < x.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +361,7 @@ def test_primitives_are_bit_deterministic(rng):
     w = rng.standard_normal((8, 1, 7))
     for op in (
         lambda: matmul(Tensor(x), Tensor(x.T)).value,
-        lambda: conv1d(Tensor(x), Tensor(w), padding=3, groups=8).value,
+        lambda: depthwise_conv1d(Tensor(x), Tensor(w)).value,
         lambda: layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8))).value,
         lambda: gelu(Tensor(x)).value,
         lambda: softmax_rows(Tensor(x)).value,
@@ -414,21 +421,25 @@ def test_grad_check_rejects_non_finite_loss():
         grad_check(lambda: Tensor([[np.inf]]), [theta])
 
 
+# (L, k) merges, (L, k, rows) projections of records of ``rows`` and L rows,
+# and (L, k) depthwise convs, L < k included, for the gradient checks
+MERGE_GRID = [(16, 4), (12, 3), (10, 2), (7, 7), (5, 1)]
+PROJECTION_GRID = [(16, 3, 8), (16, 5, 15), (9, 1, 4), (2, 5, 1)]
+DEPTHWISE_GRID = [(1, 7), (2, 3), (6, 7), (7, 1)]
+
+
 def _loss_builders(rng, rows):
     """One scalar loss per primitive over an input of ``rows`` frames, paired
     with the leaves besides the input whose gradients are checked too."""
     gamma = Tensor(1.0 + 0.1 * rng.standard_normal(8))
     beta = Tensor(0.1 * rng.standard_normal(8))
-    w_full = Tensor(rng.standard_normal((5, 8, 3)))
     w_dw = Tensor(rng.standard_normal((8, 1, 7)))
-    b = Tensor(rng.standard_normal(5))
     m = Tensor(rng.standard_normal((8, 8)))
     bias8 = Tensor(rng.standard_normal(8))
     head = Tensor(rng.standard_normal((8, 2)), requires_grad=False)
     builders = {
         "matmul": lambda x: sum_all(gelu(matmul(x, m))),
-        "conv_full": lambda x: sum_all(conv1d(x, w_full, b, stride=2, padding=1)),
-        "conv_depthwise": lambda x: sum_all(conv1d(x, w_dw, padding=3, groups=8)),
+        "conv_depthwise": lambda x: sum_all(depthwise_conv1d(x, w_dw)),
         "layer_norm": lambda x: sum_all(mul(layer_norm(x, gamma, beta), x)),
         "gelu": lambda x: sum_all(gelu(x)),
         "softmax": lambda x: sum_all(mul(softmax_rows(x), x)),
@@ -440,28 +451,36 @@ def _loss_builders(rng, rows):
         "cross_entropy": lambda x: cross_entropy(matmul(mean_pool_time(x), head), 1),
     }
     builders = {name: (build, []) for name, build in builders.items()}
-    for L, k, stride, padding in CONV_GRID:
-        # a fixed linear map lifts the input to L frames; gelu makes the
-        # upstream gradient differ per output entry
-        lift = Tensor(rng.standard_normal((L, rows)) / math.sqrt(rows), requires_grad=False)
-        w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
-
-        def conv(x, lift=lift, w=w, stride=stride, padding=padding):
-            return sum_all(gelu(conv1d(matmul(lift, x), w, stride=stride, padding=padding)))
-
-        builders[f"conv_L{L}_k{k}_s{stride}_p{padding}"] = (conv, [w])
-    for L, k, stride, padding in CONV_GRID:
-        # the same convs given only the first half of their input frames
-        real = max(1, L // 2)
-        lift = Tensor(rng.standard_normal((real, rows)) / math.sqrt(rows), requires_grad=False)
+    # a fixed linear map lifts the input to L frames (B sequences of them for
+    # a 3-D lift); gelu makes the upstream gradient differ per output entry
+    for L, k in MERGE_GRID:
+        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows), requires_grad=False)
         w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
         bias = Tensor(rng.standard_normal(5))
 
-        def conv_short(x, lift=lift, w=w, bias=bias, L=L, stride=stride, padding=padding):
-            h = conv1d(matmul(lift, x), w, bias, stride=stride, padding=padding, length=L)
-            return sum_all(gelu(h))
+        def merge(x, lift=lift, w=w, bias=bias):
+            return sum_all(gelu(conv1d(matmul(lift, x), w, bias)))
 
-        builders[f"conv_L{L}_k{k}_s{stride}_p{padding}_length"] = (conv_short, [w, bias])
+        builders[f"merge_L{L}_k{k}"] = (merge, [w, bias])
+    for L, k, real in PROJECTION_GRID:
+        # records of its own: the projection takes no gradient with respect
+        # to its input, and grad_check perturbs ``x`` in place
+        records = [rng.standard_normal((real, 8)), rng.standard_normal((L, 8)).astype(np.float32)]
+        w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
+        bias = Tensor(rng.standard_normal(5))
+
+        def projection(x, records=records, w=w, bias=bias, L=L):
+            return sum_all(gelu(conv1d(records, w, bias, length=L)))
+
+        builders[f"projection_L{L}_k{k}_rows{real}"] = (projection, [w, bias])
+    for L, k in DEPTHWISE_GRID:
+        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows), requires_grad=False)
+        w = Tensor(rng.standard_normal((8, 1, k)))
+
+        def depthwise(x, lift=lift, w=w):
+            return sum_all(gelu(depthwise_conv1d(matmul(lift, x), w)))
+
+        builders[f"depthwise_L{L}_k{k}"] = (depthwise, [w])
     return builders
 
 
@@ -483,7 +502,7 @@ def test_parameter_gradients_of_conv_and_norm(rng):
     b = Tensor(rng.standard_normal(8))
 
     def f():
-        return sum_all(gelu(conv1d(layer_norm(x, gamma, beta), w, b, stride=1, padding=1)))
+        return sum_all(gelu(conv1d(layer_norm(x, gamma, beta), w, b)))
 
     assert grad_check(f, [gamma, beta, w, b]) < 1e-4
 

@@ -264,7 +264,7 @@ def test_single_step_descent_majority_over_seeds():
 def test_train_reaches_every_patchable_seam(monkeypatch):
     """The module attributes that per-layer tracing wraps are the ones training calls."""
     calls = Counter()
-    strides = []
+    convs = []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -272,7 +272,7 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "conv1d":
-                strides.append(kwargs["stride"])
+                convs.append((args[1].value.shape[2], isinstance(args[0], list)))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -286,7 +286,8 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
     ds = tiny_dataset(3, seed=4)
     training.train(model, ds, 1, 4, 0)
     samples, blocks, batches = len(ds), sum(TINY.stage_depths), 2
-    assert strides == [1, *TINY.stage_factors] * batches  # projection first, then the merges
+    # (kernel width, input is a list): the projection over records first, then the merges
+    assert convs == [(TINY.proj_kernel, True), *((f, False) for f in TINY.stage_factors)] * batches
     assert calls == Counter(
         conv1d=batches * (1 + len(TINY.stage_factors)),
         token_mix=batches * blocks,
