@@ -25,7 +25,7 @@ for _var in _THREAD_VARS:
 from . import analysis, data, mixers, model, tensor, training  # noqa: E402
 from .analysis import CostReport, count_costs, emit_cost_table  # noqa: E402
 from .data import Dataset, EmbeddingRecord, load_embedding, pad_or_truncate, save_embedding, synthesize_dataset  # noqa: E402
-from .mixers import BlockParams, ChannelMixerKind, TokenMixerKind, afformer_block, channel_mix, token_mix  # noqa: E402
+from .mixers import ChannelMixerKind, TokenMixerKind, afformer_block, channel_mix, token_mix  # noqa: E402
 from .model import (  # noqa: E402
     HierarchyPreset,
     Model,

@@ -99,7 +99,6 @@ def channel_mixer_macs(kind: ChannelMixerKind, d: int, frames: int) -> int:
 
 def count_costs(cfg: ModelConfig) -> CostReport:
     """Per-component parameter and MAC counts for ``cfg``."""
-    cfg.validate()
     d = cfg.d_model
     entries = [
         CostEntry(

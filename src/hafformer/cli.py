@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -43,7 +44,8 @@ TRAIN_LOG_NAME = "train_log.jsonl"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed run configuration: model plus training and data settings."""
+    """Parsed run configuration: model plus training and data settings, each
+    checked when built."""
 
     model: ModelConfig = ModelConfig()
     lr: float = 2e-3
@@ -55,6 +57,24 @@ class RunConfig:
     test_per_class: int = 20
     difficulty: float = 1.0
     data_seed: int = 1234
+
+    def __post_init__(self) -> None:
+        if self.data_mode not in ("synthetic", "files"):
+            raise ConfigError(f"data_mode must be 'synthetic' or 'files', got {self.data_mode!r}")
+        if self.data_mode == "synthetic" and self.model.input_dim != data.EMBEDDING_DIM:
+            raise ConfigError(f"synthetic mode needs input_dim {data.EMBEDDING_DIM}, got {self.model.input_dim}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if not 0.0 < self.difficulty <= 1.0:
+            raise ConfigError(f"difficulty must be in (0, 1], got {self.difficulty}")
+        if self.train_per_class < 1 or self.test_per_class < 1:
+            raise ConfigError("train_per_class and test_per_class must be >= 1")
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be non-negative, got {self.data_seed}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -82,7 +102,7 @@ _RUN_KEYS = {f.name: _value_parser(f.default) for f in fields(RunConfig) if f.na
 
 
 def parse_run_config(path) -> RunConfig:
-    """Parse and validate a flat key = value config file."""
+    """Parse a flat key = value config file; the configs check their own values."""
     model_fields: dict = {}
     run_fields: dict = {}
     hierarchy: HierarchyPreset | None = None
@@ -120,20 +140,7 @@ def parse_run_config(path) -> RunConfig:
     cfg = ModelConfig()
     if hierarchy is not None:
         cfg = apply_preset(hierarchy, cfg)
-    cfg = replace(cfg, **model_fields)
-    cfg.validate()
-    run = RunConfig(model=cfg, **run_fields)
-    if run.data_mode not in ("synthetic", "files"):
-        raise ConfigError(f"{path}: data_mode must be 'synthetic' or 'files', got {run.data_mode!r}")
-    if run.data_mode == "synthetic" and cfg.input_dim != data.EMBEDDING_DIM:
-        raise ConfigError(f"{path}: synthetic mode needs input_dim {data.EMBEDDING_DIM}, got {cfg.input_dim}")
-    if run.epochs < 0 or run.batch_size < 1:
-        raise ConfigError(f"{path}: epochs must be >= 0 and batch_size >= 1")
-    if not 0.0 < run.difficulty <= 1.0:
-        raise ConfigError(f"{path}: difficulty must be in (0, 1], got {run.difficulty}")
-    if run.train_per_class < 1 or run.test_per_class < 1:
-        raise ConfigError(f"{path}: train_per_class and test_per_class must be >= 1")
-    return run
+    return RunConfig(model=replace(cfg, **model_fields), **run_fields)
 
 
 def _load_run_config(args) -> RunConfig:
@@ -183,7 +190,7 @@ def _gradcheck_block_cases(scale: str, seed: int):
         def loss_fn(tk=tk, ck=ck, params=params, x=x):
             return sum_all(mixers.afformer_block(tk, ck, params, x))
 
-        yield f"{tk.value}+{ck.value}", loss_fn, params.tensors(), None
+        yield f"{tk.value}+{ck.value}", loss_fn, list(params.values()), None
 
 
 def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):
@@ -281,7 +288,7 @@ def cmd_eval(args) -> int:
     run = _load_run_config(args)
     checkpoint = Path(args.out) / CHECKPOINT_NAME
     model = load_checkpoint(checkpoint)
-    dataset = _load_split(run, "test", args.data)
+    dataset = _load_split(replace(run, model=model.cfg), "test", args.data)
     unlabeled = [r.id for r in dataset.records if r.label is None]
     if unlabeled:
         raise FormatError(f"{args.data}: eval needs a label on every record; {unlabeled[0]!r} has none")

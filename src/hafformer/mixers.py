@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -192,49 +191,17 @@ def channel_mix(
     return add(out, x) if residual else out
 
 
-@dataclass
-class BlockParams:
-    """Parameters of one block: two norm affines plus the two mixer bundles."""
-
-    token: dict[str, Tensor]
-    channel: dict[str, Tensor]
-    token_gamma: Tensor
-    token_beta: Tensor
-    channel_gamma: Tensor
-    channel_beta: Tensor
-
-    @classmethod
-    def from_names(cls, params: Mapping[str, Tensor]) -> "BlockParams":
-        """The block whose tensors ``params`` holds under the names of ``block_param_shapes``."""
-
-        def bundle(sub: str) -> dict[str, Tensor]:
-            return {name[len(sub) :]: t for name, t in params.items() if name.startswith(sub)}
-
-        return cls(
-            token=bundle("token."),
-            channel=bundle("channel."),
-            token_gamma=params["token_norm.gamma"],
-            token_beta=params["token_norm.beta"],
-            channel_gamma=params["channel_norm.gamma"],
-            channel_beta=params["channel_norm.beta"],
-        )
-
-    def tensors(self) -> list[Tensor]:
-        out = [self.token_gamma, self.token_beta]
-        out.extend(self.token.values())
-        out.extend([self.channel_gamma, self.channel_beta])
-        out.extend(self.channel.values())
-        return out
-
-
 def afformer_block(
     token_kind: TokenMixerKind,
     channel_kind: ChannelMixerKind,
-    params: BlockParams,
+    params: Mapping[str, Tensor],
     x: Tensor,
     channel_residual: bool = True,
 ) -> Tensor:
-    """Token sublayer followed by channel sublayer; shape preserving."""
+    """Token sublayer followed by channel sublayer; shape preserving.
+
+    ``params`` holds the block's tensors under the names of ``block_param_shapes``.
+    """
     if token_kind in CONV_TOKEN_KINDS and x.value.shape[-2] < DW_KERNEL:
         warnings.warn(
             f"block input has {x.value.shape[-2]} frames, below the depthwise kernel "
@@ -242,9 +209,13 @@ def afformer_block(
             RuntimeWarning,
             stacklevel=2,
         )
-    h = token_mix(token_kind, params.token, params.token_gamma, params.token_beta, x)
-    gamma, beta = params.channel_gamma, params.channel_beta
-    return channel_mix(channel_kind, params.channel, gamma, beta, h, residual=channel_residual)
+
+    def bundle(sub: str) -> dict[str, Tensor]:
+        return {name[len(sub) :]: t for name, t in params.items() if name.startswith(sub)}
+
+    h = token_mix(token_kind, bundle("token."), params["token_norm.gamma"], params["token_norm.beta"], x)
+    gamma, beta = params["channel_norm.gamma"], params["channel_norm.beta"]
+    return channel_mix(channel_kind, bundle("channel."), gamma, beta, h, residual=channel_residual)
 
 
 def random_block_params(
@@ -252,17 +223,13 @@ def random_block_params(
     channel_kind: ChannelMixerKind,
     d: int,
     rng: np.random.Generator,
-) -> BlockParams:
-    """Random leaf parameters for one block; verification-harness helper."""
-
-    def draw(shapes):
-        return {name: Tensor(0.4 * rng.standard_normal(s)) for name, s in shapes.items()}
-
-    return BlockParams(
-        token=draw(token_param_shapes(token_kind, d)),
-        channel=draw(channel_param_shapes(channel_kind, d)),
-        token_gamma=Tensor(1.0 + 0.1 * rng.standard_normal(d)),
-        token_beta=Tensor(0.1 * rng.standard_normal(d)),
-        channel_gamma=Tensor(1.0 + 0.1 * rng.standard_normal(d)),
-        channel_beta=Tensor(0.1 * rng.standard_normal(d)),
-    )
+) -> dict[str, Tensor]:
+    """Random leaf parameters for one block, in ``block_param_shapes`` order;
+    verification-harness helper. Draws the token bundle, the channel bundle,
+    then each norm's gamma and beta, token first."""
+    shapes = block_param_shapes(token_kind, channel_kind, d)
+    drawn = {n: Tensor(0.4 * rng.standard_normal(s)) for n, s in shapes.items() if "_norm." not in n}
+    for name in (n for n in shapes if "_norm." in n):
+        noise = 0.1 * rng.standard_normal(d)
+        drawn[name] = Tensor(1.0 + noise if name.endswith(".gamma") else noise)
+    return {n: drawn[n] for n in shapes}

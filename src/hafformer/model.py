@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import _read_exact, _read_utf8
 from .errors import ConfigError, CorruptionError, FormatError, ShapeError
-from .mixers import BlockParams, ChannelMixerKind, TokenMixerKind, afformer_block, block_param_shapes
+from .mixers import ChannelMixerKind, TokenMixerKind, afformer_block, block_param_shapes
 from .tensor import Tensor, add_bias, conv1d, gelu, layer_norm, matmul, mean_pool_time
 
 CHECKPOINT_MAGIC = b"HAFC"
@@ -29,6 +29,8 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The network's shape and initialization seed; each value is checked when built."""
+
     input_dim: int = 1024
     seq_len: int = 3200
     d_model: int = 8
@@ -42,7 +44,7 @@ class ModelConfig:
     channel_residual: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.seq_len < 1:
@@ -94,9 +96,7 @@ _PRESET_STAGES: dict[HierarchyPreset, tuple[tuple[int, ...], tuple[int, ...]]] =
 def apply_preset(preset: HierarchyPreset, cfg: ModelConfig) -> ModelConfig:
     """Overwrite stage_factors/stage_depths from a hierarchy preset."""
     factors, depths = _PRESET_STAGES[HierarchyPreset(preset)]
-    out = replace(cfg, stage_factors=factors, stage_depths=depths)
-    out.validate()
-    return out
+    return replace(cfg, stage_factors=factors, stage_depths=depths)
 
 
 class ParameterStore(dict[str, Tensor]):
@@ -152,7 +152,6 @@ def build_model(cfg: ModelConfig) -> "Model":
     counter-based Philox stream keyed by ``cfg.seed`` in declaration order;
     biases start at zero and norm affines at (1, 0), consuming no draws.
     """
-    cfg.validate()
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     store = ParameterStore()
     for name, shape in param_shapes(cfg).items():
@@ -178,7 +177,7 @@ class Model:
         cfg = self.cfg
         names = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
         self._blocks = {
-            (s, b): BlockParams.from_names({n: self.params[f"stage{s}.block{b}.{n}"] for n in names})
+            (s, b): {n: self.params[f"stage{s}.block{b}.{n}"] for n in names}
             for s, depth in enumerate(cfg.stage_depths)
             for b in range(depth)
         }
@@ -297,7 +296,7 @@ def load_checkpoint(path) -> Model:
     The file's parameter names and shapes must be those that its config
     declares (``param_shapes``), checked before anything is allocated for
     the model; each parameter then gets its own writable float64 copy of
-    the bytes read.
+    the bytes read, which must be finite.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -325,7 +324,6 @@ def load_checkpoint(path) -> Model:
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after last parameter")
 
-    cfg.validate()
     expected = param_shapes(cfg)
     if set(values) != set(expected):
         raise FormatError(
@@ -338,5 +336,8 @@ def load_checkpoint(path) -> Model:
         shape, raw = values[name]
         if shape != want:
             raise FormatError(f"{path}: parameter {name} has shape {shape}, expected {want}")
-        store[name] = Tensor(np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64))
+        value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(value).all():
+            raise CorruptionError(f"{path}: parameter {name} values include NaN or infinity")
+        store[name] = Tensor(value)
     return Model(cfg, store)

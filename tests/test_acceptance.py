@@ -144,7 +144,7 @@ def test_criterion_5_gradient_correctness():
             def loss_fn(tk=tk, ck=ck, bp=bp, x=x):
                 return sum_all(mixers.afformer_block(tk, ck, bp, x))
 
-            err = grad_check(loss_fn, bp.tensors())
+            err = grad_check(loss_fn, list(bp.values()))
             assert err < 1e-4, f"block {tk.value}+{ck.value}: {err}"
         shrunken = replace(ModelConfig(), seq_len=64, input_dim=16, seed=5)
         model = build_model(shrunken)
@@ -158,20 +158,10 @@ def test_criterion_5_gradient_correctness():
 def test_criterion_6_identity_and_zero_cost_properties(rng):
     with criterion(6, "zero-parameter MSDW+GEGLU block is exact identity; Pool/Identity cost 0"):
         d = 8
-        bp = mixers.BlockParams(
-            token={
-                n: Tensor(np.zeros(s))
-                for n, s in mixers.token_param_shapes(TokenMixerKind.MSDW, d).items()
-            },
-            channel={
-                n: Tensor(np.zeros(s))
-                for n, s in mixers.channel_param_shapes(ChannelMixerKind.GEGLU, d).items()
-            },
-            token_gamma=Tensor(np.ones(d)),
-            token_beta=Tensor(np.zeros(d)),
-            channel_gamma=Tensor(np.ones(d)),
-            channel_beta=Tensor(np.zeros(d)),
-        )
+        bp = {
+            n: Tensor(np.ones(s) if n.endswith(".gamma") else np.zeros(s))
+            for n, s in mixers.block_param_shapes(TokenMixerKind.MSDW, ChannelMixerKind.GEGLU, d).items()
+        }
         x = rng.standard_normal((64, d))
         out = mixers.afformer_block(TokenMixerKind.MSDW, ChannelMixerKind.GEGLU, bp, Tensor(x))
         assert np.array_equal(out.value, x)

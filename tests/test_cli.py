@@ -14,7 +14,7 @@ from hafformer.mixers import ChannelMixerKind, TokenMixerKind
 from hafformer.model import ModelConfig, build_model, save_checkpoint
 from hafformer.tensor import Tensor
 
-from test_model import with_a_repeated_parameter
+from test_model import with_a_repeated_parameter, with_a_value
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -118,6 +118,12 @@ def test_invalid_model_config(tmp_path, capsys):
         ("train", "difficulty", 1.5),
         ("synth", "train_per_class", 0),
         ("synth", "test_per_class", 0),
+        ("train", "lr", "nan"),
+        ("train", "lr", -1),
+        ("train", "lr", 0),
+        ("train", "weight_decay", "inf"),
+        ("train", "weight_decay", -1e-5),
+        ("train", "data_seed", -5),
     ],
 )
 def test_out_of_range_run_value_exits_2(tmp_path, capsys, command, key, value):
@@ -460,6 +466,53 @@ def test_eval_rejects_a_checkpoint_that_lists_a_parameter_twice_with_exit_2(tmp_
     path.write_bytes(with_a_repeated_parameter(path.read_bytes(), "final_norm.beta"))
     assert run_cli("eval", "--out", str(out_dir)) == 2
     assert "parameter final_norm.beta is listed twice" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_holding_nan_with_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    path = out_dir / cli.CHECKPOINT_NAME
+    save_checkpoint(build_model(ModelConfig()), path)
+    path.write_bytes(with_a_value(path.read_bytes(), "head.fc2.bias", float("nan")))
+    assert run_cli("eval", "--out", str(out_dir)) == 2
+    assert "parameter head.fc2.bias values include NaN or infinity" in capsys.readouterr().err
+
+
+def test_eval_reads_the_data_at_the_width_of_the_checkpoint(tmp_path, capsys):
+    """A 16-wide checkpoint against 1024-wide files is a DimensionError (exit
+    2) whatever width the run config names; eval runs the checkpoint's model."""
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), out_dir / cli.CHECKPOINT_NAME)
+    records = (data.EmbeddingRecord("r1", np.zeros((64, 1024), dtype=np.float32), 0),)
+    data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
+    assert run_cli("eval", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out_dir)) == 2
+    assert "r1.hafe: 1024 channels, expected 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "gradcheck", "synth", "train", "eval"])
+def test_a_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
+    out_dir = tmp_path / "o"
+    argv = [command, "--config", str(write_config(tmp_path / "c.cfg", epochs=1)), "--seed", "-1"]
+    if command == "eval":  # a checkpoint to evaluate, and a JSON path it must not write
+        out_dir.mkdir()
+        save_checkpoint(build_model(ModelConfig(seq_len=256)), out_dir / cli.CHECKPOINT_NAME)
+        argv += ["--json", str(tmp_path / "metrics.json")]
+    if command in ("synth", "train", "eval"):
+        argv += ["--out", str(out_dir)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
+    assert out_dir.exists() == (command == "eval")  # eval's was made above, with its checkpoint
+    assert not (tmp_path / "metrics.json").exists()
+
+
+def test_synth_with_another_input_width_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", input_dim=16, seq_len=64)
+    assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "data")) == 2
+    assert "needs input_dim 1024, got 16" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize(

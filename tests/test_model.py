@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -62,9 +63,8 @@ def test_preset_on_indivisible_seq_len():
     ],
 )
 def test_config_validation_names_the_field(field, value):
-    cfg = replace(ModelConfig(), **{field: value})
     with pytest.raises(ConfigError, match=field.split("_")[0]):
-        cfg.validate()
+        replace(ModelConfig(), **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +505,23 @@ def test_checkpoint_that_lists_a_parameter_twice_is_corrupt(tmp_path):
     save_checkpoint(build_model(SMALL), path)
     path.write_bytes(with_a_repeated_parameter(path.read_bytes(), "final_norm.beta"))
     with pytest.raises(CorruptionError, match="parameter final_norm.beta is listed twice"):
+        load_checkpoint(path)
+
+
+def with_a_value(raw: bytes, name: str, value: float) -> bytes:
+    """``raw`` with the first value of parameter ``name`` set to ``value``."""
+    encoded = name.encode("utf-8")
+    at = raw.index(len(encoded).to_bytes(2, "little") + encoded) + 2 + len(encoded)
+    at += 1 + 4 * raw[at]  # past the rank byte and the dims
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8 :]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_with_a_non_finite_value_is_corrupt(tmp_path, value):
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(SMALL), path)
+    path.write_bytes(with_a_value(path.read_bytes(), "stage1.block0.token.depthwise7", value))
+    with pytest.raises(CorruptionError, match="parameter stage1.block0.token.depthwise7 values include NaN"):
         load_checkpoint(path)
 
 

@@ -412,7 +412,7 @@ def test_grad_check_msdw_geglu_block(rng):
             )
         )
 
-    assert grad_check(f, bp.tensors()) < 1e-4
+    assert grad_check(f, list(bp.values())) < 1e-4
 
 
 def test_grad_check_rejects_non_finite_loss():
