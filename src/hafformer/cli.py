@@ -196,7 +196,9 @@ def _gradcheck_block_cases(scale: str, seed: int):
 def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):
     rng = np.random.default_rng(seed + 1)
     if scale == "small":
-        cfg = replace(cfg, seq_len=64, input_dim=16)
+        # about 64 frames, divisible by every stage factor's running product
+        period = math.prod(cfg.stage_factors)
+        cfg = replace(cfg, seq_len=period * max(1, 64 // period), input_dim=16)
         coord_limit = None
     else:
         coord_limit = 4  # full-size model: deterministic coordinate subsample

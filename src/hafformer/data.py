@@ -47,17 +47,36 @@ def _is_file_name(rec_id: str) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
+    """One record: an id, its (frames, channels) features and an optional label.
+
+    ``source`` is the features array itself, or the ``.hafe`` file that holds
+    them, with ``cols`` channels. ``features`` gives an array source back as
+    it is, the very array given. A file source is read again on each access,
+    through ``load_embedding`` with every check it makes, and must still hold
+    this id; nothing of it stays in memory once the caller drops the array.
+    """
+
     id: str  # a plain file name: a dataset stores the record as <id>.hafe
-    features: np.ndarray  # (frames, channels)
+    source: np.ndarray | Path
     label: int | None = None
+    cols: int = EMBEDDING_DIM  # channels a file source must hold
 
     def __post_init__(self):
         if not _is_file_name(self.id):
             raise ValueError(f"record id {self.id!r} is not a plain file name")
-        if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
-            raise ValueError(f"features must be a non-empty 2-D matrix, got {self.features.shape}")
+        if not isinstance(self.source, Path) and (self.source.ndim != 2 or 0 in self.source.shape):
+            raise ValueError(f"features must be a non-empty 2-D matrix, got {self.source.shape}")
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"label must be 0, 1, or None, got {self.label}")
+
+    @property
+    def features(self) -> np.ndarray:
+        """(frames, channels); a file source is read anew on each access."""
+        if not isinstance(self.source, Path):
+            return self.source
+        stored = load_embedding(self.source, self.cols)
+        _check_id(self.source, stored.id, self.id)
+        return stored.features
 
 
 @dataclass(frozen=True)
@@ -115,6 +134,45 @@ def _read_utf8(fh, n: int, path, what: str) -> str:
         raise CorruptionError(f"{path}: {what} is not UTF-8: {exc}") from None
 
 
+def _read_header(fh, path, expected_cols: int) -> tuple[str, int, int]:
+    """The id, rows and columns of a ``.hafe`` header, leaving ``fh`` at its values.
+
+    Checks the magic, version, shape and id, and that the file holds exactly
+    the values the shape declares.
+    """
+    magic = _read_exact(fh, 4, path, "magic")
+    if magic != EMBEDDING_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
+    if version != EMBEDDING_VERSION:
+        raise FormatError(f"{path}: unsupported embedding version {version}")
+    rows, cols = struct.unpack("<II", _read_exact(fh, 8, path, "shape"))
+    if rows < 1 or cols < 1:
+        raise CorruptionError(f"{path}: degenerate shape ({rows}, {cols})")
+    if cols != expected_cols:
+        raise DimensionError(f"{path}: {cols} channels, expected {expected_cols}")
+    (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
+    rec_id = _read_utf8(fh, id_len, path, "id")
+    if not _is_file_name(rec_id):
+        raise CorruptionError(f"{path}: record id {rec_id!r} is not a plain file name")
+    size, left = 4 * rows * cols, os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise CorruptionError(f"{path}: feature values needs {size} bytes, only {left} are left")
+    if size < left:
+        raise CorruptionError(f"{path}: trailing bytes after feature payload")
+    return rec_id, rows, cols
+
+
+def _check_finite(values: np.ndarray, path) -> None:
+    if not np.isfinite(values).all():
+        raise CorruptionError(f"{path}: feature values include NaN or infinity")
+
+
+def _check_id(path, found: str, listed: str) -> None:
+    if found != listed:
+        raise CorruptionError(f"{path}: holds record id {found!r}, the manifest lists {listed!r}")
+
+
 def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
     """Read one record; its features are a read-only float32 view of the bytes read.
 
@@ -122,29 +180,26 @@ def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
     NaN or infinite feature value is corruption.
     """
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, path, "magic")
-        if magic != EMBEDDING_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-        if version != EMBEDDING_VERSION:
-            raise FormatError(f"{path}: unsupported embedding version {version}")
-        rows, cols = struct.unpack("<II", _read_exact(fh, 8, path, "shape"))
-        if rows < 1 or cols < 1:
-            raise CorruptionError(f"{path}: degenerate shape ({rows}, {cols})")
-        if cols != expected_cols:
-            raise DimensionError(f"{path}: {cols} channels, expected {expected_cols}")
-        (id_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "id length"))
-        rec_id = _read_utf8(fh, id_len, path, "id")
-        if not _is_file_name(rec_id):
-            raise CorruptionError(f"{path}: record id {rec_id!r} is not a plain file name")
+        rec_id, rows, cols = _read_header(fh, path, expected_cols)
         raw = _read_exact(fh, 4 * rows * cols, path, "feature values")
-        if fh.read(1):
-            raise CorruptionError(f"{path}: trailing bytes after feature payload")
-    features = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
-    step = max(1, FINITE_CHECK_VALUES // cols)  # rows per block: the check's mask stays small
-    if not all(np.isfinite(features[i : i + step]).all() for i in range(0, rows, step)):
-        raise CorruptionError(f"{path}: feature values include NaN or infinity")
-    return EmbeddingRecord(rec_id, features)
+    values = np.frombuffer(raw, dtype="<f4")
+    for start in range(0, values.size, FINITE_CHECK_VALUES):  # the check's mask stays small
+        _check_finite(values[start : start + FINITE_CHECK_VALUES], path)
+    return EmbeddingRecord(rec_id, values.reshape(rows, cols))
+
+
+def _check_embedding(path, expected_cols: int) -> str:
+    """The id in ``path``, after every check of ``load_embedding``, made while
+    holding one block of ``FINITE_CHECK_VALUES`` values at a time."""
+    with open(path, "rb") as fh:
+        rec_id, rows, cols = _read_header(fh, path, expected_cols)
+        block = np.empty(min(FINITE_CHECK_VALUES, rows * cols), dtype="<f4")
+        for start in range(0, rows * cols, block.size):
+            values = block[: min(block.size, rows * cols - start)]
+            if fh.readinto(values) != values.nbytes:
+                raise CorruptionError(f"{path}: truncated while reading feature values")
+            _check_finite(values, path)
+    return rec_id
 
 
 def save_manifest(path, dataset: Dataset) -> None:
@@ -199,7 +254,13 @@ def save_dataset(directory, dataset: Dataset) -> None:
 
 
 def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING_DIM) -> Dataset:
-    """Read the manifest, then ``<id>.hafe``, which must exist and hold that id, for each id in it."""
+    """Check ``<id>.hafe`` for each id in the manifest; it must exist and hold that id.
+
+    Each file gets every check of ``load_embedding`` here, one block at a
+    time, so a bad file fails before any record is used. The records hold
+    only their file's path and read it again whenever their features are
+    read (see ``EmbeddingRecord``).
+    """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -209,12 +270,11 @@ def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING
     for rec_id, label in labels.items():
         path = directory / f"{rec_id}.hafe"
         try:
-            rec = load_embedding(path, expected_cols)
+            stored_id = _check_embedding(path, expected_cols)
         except FileNotFoundError:
             raise FormatError(f"{manifest}: lists {rec_id!r}, but {path} does not exist") from None
-        if rec.id != rec_id:
-            raise CorruptionError(f"{path}: holds record id {rec.id!r}, the manifest lists {rec_id!r}")
-        records.append(EmbeddingRecord(rec_id, rec.features, label))
+        _check_id(path, stored_id, rec_id)
+        records.append(EmbeddingRecord(rec_id, path, label, expected_cols))
     return Dataset(tuple(records), split)
 
 

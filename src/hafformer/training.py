@@ -3,7 +3,8 @@
 Each mini-batch is one forward over all of its records, one graph and one
 backward pass of the batch-mean loss, so two runs with the same seeds
 produce bit-identical parameter trajectories. Evaluation runs one record
-per forward.
+per forward and reads its features just before it, so a dataset loaded from
+files is held one record at a time.
 """
 
 from __future__ import annotations
@@ -89,8 +90,12 @@ class Metrics:
 
 
 def _prepared(record, cfg):
-    """The record's first ``seq_len`` frames, unpadded: ``Model.forward`` zero-extends."""
-    return pad_or_truncate(record.features, min(record.features.shape[0], cfg.seq_len))
+    """The record's first ``seq_len`` frames, unpadded: ``Model.forward`` zero-extends.
+
+    Reads ``features`` once: a loaded record reads its file on each access.
+    """
+    x = record.features
+    return pad_or_truncate(x, min(x.shape[0], cfg.seq_len))
 
 
 def evaluate(model: Model, dataset: Dataset) -> Metrics:

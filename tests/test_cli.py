@@ -11,7 +11,7 @@ import pytest
 
 from hafformer import cli, data, mixers
 from hafformer.mixers import ChannelMixerKind, TokenMixerKind
-from hafformer.model import ModelConfig, build_model, save_checkpoint
+from hafformer.model import Model, ModelConfig, build_model, save_checkpoint
 from hafformer.tensor import Tensor
 
 from test_model import with_a_repeated_parameter, with_a_value
@@ -239,6 +239,12 @@ def test_gradcheck_passes(capsys):
     assert all(l.endswith("PASS") for l in lines)
 
 
+def test_gradcheck_small_fits_its_length_to_the_stage_factors(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", seq_len=100, stage_factors="5,5", stage_depths="1,1")
+    assert run_cli("gradcheck", "--config", str(cfg), "--scale", "small") == 0
+    assert capsys.readouterr().out.count("PASS") == 25
+
+
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     real_gelu = mixers.gelu
 
@@ -371,7 +377,10 @@ def test_eval_rejects_a_checkpoint_whose_config_asks_for_other_shapes_with_exit_
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, capsys, command):
+def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, capsys, monkeypatch, command):
+    """The NaN is in the last file the manifest lists, and no forward runs."""
+    forwards = []
+    monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: forwards.append(args))
     cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
     out_dir = tmp_path / "run"
     out_dir.mkdir()
@@ -385,6 +394,8 @@ def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, caps
     data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
     assert run_cli(command, "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out_dir)) == 2
     assert "r2.hafe: feature values include NaN or infinity" in capsys.readouterr().err
+    assert (tmp_path / "data" / data.MANIFEST_NAME).read_text(encoding="utf-8").endswith("r2,1\n")
+    assert forwards == []
 
 
 def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, capsys):

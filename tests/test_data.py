@@ -203,6 +203,31 @@ def test_a_damaged_file_raises_only_documented_errors(tmp_path_factory, write, l
         pass
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_dataset_rejects_what_load_embedding_rejects(tmp_path_factory, data):
+    """The checking pass of ``load_dataset`` agrees with ``load_embedding``, error
+    for error; a file it accepts reads back as ``load_embedding`` reads it."""
+    directory = tmp_path_factory.mktemp("checked")
+    path = directory / "rec.hafe"
+    write_small_embedding(path)
+    path.write_bytes(data.draw(damaged(path.read_bytes())))
+    (directory / "manifest.csv").write_text("rec,0\n", encoding="utf-8")
+    try:
+        want = load_embedding(path, expected_cols=4)
+    except (FormatError, CorruptionError, DimensionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_dataset(directory, "train", expected_cols=4)
+        assert str(got.value) == str(exc)
+        return
+    if want.id != "rec":
+        with pytest.raises(CorruptionError, match="the manifest lists 'rec'"):
+            load_dataset(directory, "train", expected_cols=4)
+        return
+    (record,) = load_dataset(directory, "train", expected_cols=4).records
+    assert record.features.tobytes() == want.features.tobytes()
+
+
 FUZZ_RECORDS = (("a0", 0), ("b1", 1), ("a1", 1))  # ids one byte apart, so damage can swap them
 
 

@@ -14,9 +14,10 @@ from hafformer.data import (
     load_dataset,
     pad_or_truncate,
     save_dataset,
+    save_embedding,
     synthesize_dataset,
 )
-from hafformer.errors import OptimizationError
+from hafformer.errors import CorruptionError, OptimizationError
 from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from hafformer.tensor import Tensor, grad_check
 from hafformer.training import (
@@ -300,7 +301,8 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
 
 def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     """Per-layer tracing of inference wraps ``data.load_embedding`` and
-    ``model.conv1d``: loading a dataset and evaluating it call them there."""
+    ``model.conv1d``: evaluating a loaded dataset calls them there, reading
+    each file once, just before its forward."""
     files, weights = [], []
     load_embedding, conv1d = data_module.load_embedding, model_module.conv1d
 
@@ -317,9 +319,10 @@ def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     ds = tiny_dataset(2, seed=5, split="test")
     save_dataset(tmp_path, ds)
     loaded = load_dataset(tmp_path, "test", expected_cols=TINY.input_dim)
-    assert files == [f"{r.id}.hafe" for r in ds.records]
+    assert files == []  # loading checks the files but holds none of them
     model = build_model(TINY)
     evaluate(model, loaded)
+    assert files == [f"{r.id}.hafe" for r in ds.records]
     merges = [model.params[f"stage{s}.merge.weight"] for s in range(len(TINY.stage_factors))]
     assert weights == [model.params["projection.weight"], *merges] * len(ds)  # projection first
 
@@ -339,6 +342,52 @@ def test_train_on_short_records_holds_no_padded_copy():
     finally:
         tracemalloc.stop()
     assert peak < 3200 * 1024 * 8  # one zero-padded float64 input
+
+
+def evaluation_peak_bytes(model, directory, n: int, frames: int) -> int:
+    """tracemalloc peak of loading and evaluating ``n`` saved records of ``frames`` frames."""
+    rng = np.random.default_rng(n)
+    records = tuple(
+        EmbeddingRecord(f"r{i}", rng.standard_normal((frames, 1024), dtype=np.float32), i % 2)
+        for i in range(n)
+    )
+    save_dataset(directory, Dataset(records, "test"))
+    tracemalloc.start()
+    try:
+        evaluate(model, load_dataset(directory, "test"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluating_files_holds_one_record_at_a_time(tmp_path):
+    """The peak does not grow with the split: 12 records cost less than 4 plus one."""
+    frames = 256
+    model = build_model(ModelConfig(seq_len=frames, seed=2))
+    four = evaluation_peak_bytes(model, tmp_path / "four", 4, frames)
+    twelve = evaluation_peak_bytes(model, tmp_path / "twelve", 12, frames)
+    assert twelve < four + frames * 1024 * 4
+
+
+def test_evaluating_saved_records_matches_evaluating_them_in_memory(tmp_path):
+    model = build_model(replace(TINY, seed=3))
+    train(model, tiny_dataset(3, seed=40), epochs=2, batch_size=3, seed=1)
+    held_out = tiny_dataset(5, seed=41, split="test")
+    save_dataset(tmp_path, held_out)
+    loaded = load_dataset(tmp_path, "test", expected_cols=TINY.input_dim)
+    assert evaluate(model, loaded) == evaluate(model, held_out)
+
+
+def test_a_file_corrupted_after_loading_raises_when_its_record_is_read(tmp_path):
+    ds = tiny_dataset(2, seed=42, split="test")
+    save_dataset(tmp_path, ds)
+    loaded = load_dataset(tmp_path, "test", expected_cols=TINY.input_dim)
+    last = ds.records[-1]
+    features = last.features.copy()
+    features[3, 5] = np.nan
+    save_embedding(tmp_path / f"{last.id}.hafe", EmbeddingRecord(last.id, features))
+    with pytest.raises(CorruptionError, match=f"{last.id}.hafe: feature values include NaN"):
+        evaluate(build_model(TINY), loaded)
 
 
 def test_training_on_short_records_matches_their_zero_padded_copies():
