@@ -2,8 +2,8 @@
 
 Configuration is a flat ``key = value`` text file with ``#`` comments;
 unknown keys are rejected with a line-numbered diagnostic. Exit codes:
-0 success, 1 numeric/assertion failure, 2 usage, configuration, input or
-file-system failure.
+0 success, 1 numeric/assertion failure, 2 usage, configuration, input,
+file-system or out-of-memory failure.
 """
 
 from __future__ import annotations
@@ -291,9 +291,6 @@ def cmd_eval(args) -> int:
     checkpoint = Path(args.out) / CHECKPOINT_NAME
     model = load_checkpoint(checkpoint)
     dataset = _load_split(replace(run, model=model.cfg), "test", args.data)
-    unlabeled = [r.id for r in dataset.records if r.label is None]
-    if unlabeled:
-        raise FormatError(f"{args.data}: eval needs a label on every record; {unlabeled[0]!r} has none")
     metrics = training.evaluate(model, dataset)
     payload = json.dumps(metrics.to_dict())
     print(payload)
@@ -358,7 +355,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, DimensionError, CorruptionError, OSError) as exc:
+    except (ConfigError, FormatError, DimensionError, CorruptionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, OptimizationError, ValueError) as exc:

@@ -1,13 +1,12 @@
 """Embedding ingestion, fixed-length preprocessing, and synthetic datasets.
 
-Records are (frames x 1024) embedding matrices with optional binary labels
-(0 = healthy control, 1 = AD). The on-disk format (magic ``HAFE``) stores
-float32 little-endian values, kept as float32 in memory, and round-trips
-bit-exactly; a label manifest is plain ``id,label`` lines (``id,`` when
-unlabeled). The synthetic generator stands in for the real corpus: class 1
-carries a slow sinusoidal drift on a fixed channel subset, a long-range cue
-that the merge hierarchy can exploit and that a closed-form band-energy rule
-can verify.
+Records are (frames x 1024) embedding matrices with binary labels (0 =
+healthy control, 1 = AD). The on-disk format (magic ``HAFE``) stores float32
+little-endian values, kept as float32 in memory, and round-trips bit-exactly;
+a label manifest is plain ``id,label`` lines. The synthetic generator stands
+in for the real corpus: class 1 carries a slow sinusoidal drift on a fixed
+channel subset, a long-range cue that the merge hierarchy can exploit and
+that a closed-form band-energy rule can verify.
 """
 
 from __future__ import annotations
@@ -47,7 +46,11 @@ def _is_file_name(rec_id: str) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    """One record: an id, its (frames, channels) features and an optional label.
+    """One record: an id, its (frames, channels) features and its label.
+
+    The label is optional only because a ``.hafe`` file holds none, so
+    ``load_embedding`` returns a record without one; a ``Dataset`` takes
+    labeled records only.
 
     ``source`` is the features array itself, or the ``.hafe`` file that holds
     them, with ``cols`` channels. ``features`` gives an array source back as
@@ -81,17 +84,21 @@ class EmbeddingRecord:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A named split of one or more labeled records with unique ids."""
+
     records: tuple[EmbeddingRecord, ...]
     split: str = "train"
 
     def __post_init__(self):
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be 'train' or 'test', got {self.split!r}")
+        if not self.records:
+            raise ValueError("a dataset cannot be empty")
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError("record ids must be unique within a dataset")
-        if self.split == "train" and any(r.label is None for r in self.records):
-            raise ValueError("train split requires a label on every record")
+        if any(r.label is None for r in self.records):
+            raise ValueError("a dataset needs a label on every record")
 
     def __len__(self):
         return len(self.records)
@@ -203,23 +210,22 @@ def _check_embedding(path, expected_cols: int) -> str:
 
 
 def save_manifest(path, dataset: Dataset) -> None:
-    """One ``id,label`` line per record; an unlabeled record is ``id,``."""
+    """One ``id,label`` line per record."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in dataset.records:
-            label = "" if record.label is None else record.label
-            fh.write(f"{record.id},{label}\n")
+            fh.write(f"{record.id},{record.label}\n")
 
 
-def load_manifest(path, require_labels: bool = False) -> dict[str, int | None]:
+def load_manifest(path) -> dict[str, int]:
     """Map each record id to its label; ids must be unique file names, labels 0 or 1.
 
-    An empty label reads as None (unlabeled), unless ``require_labels``.
+    Every line needs a label; an empty one is a ``FormatError`` naming the line.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-    labels: dict[str, int | None] = {}
+    labels: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -231,10 +237,7 @@ def load_manifest(path, require_labels: bool = False) -> dict[str, int | None]:
         if rec_id in labels:
             raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
         if not label:
-            if require_labels:
-                raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
-            labels[rec_id] = None
-            continue
+            raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
         try:
             labels[rec_id] = int(label)
         except ValueError:
@@ -265,7 +268,9 @@ def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise FileNotFoundError(f"{manifest}: manifest not found")
-    labels = load_manifest(manifest, require_labels=split == "train")
+    labels = load_manifest(manifest)
+    if not labels:
+        raise FormatError(f"{manifest}: lists no records")
     records = []
     for rec_id, label in labels.items():
         path = directory / f"{rec_id}.hafe"

@@ -556,13 +556,38 @@ def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
-    records = (
-        data.EmbeddingRecord("r1", np.zeros((4, 1024), dtype=np.float32), 0),
-        data.EmbeddingRecord("r2", np.zeros((4, 1024), dtype=np.float32), None),
-    )
-    data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
-    assert run_cli("eval", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(out_dir)) == 2
-    assert "'r2' has none" in capsys.readouterr().err
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for rec_id in ("r1", "r2"):
+        record = data.EmbeddingRecord(rec_id, np.zeros((4, 1024), dtype=np.float32))
+        data.save_embedding(data_dir / f"{rec_id}.hafe", record)
+    (data_dir / data.MANIFEST_NAME).write_text("r1,0\nr2,\n", encoding="utf-8")
+    assert run_cli("eval", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2
+    assert "manifest.csv:2: id 'r2' has no label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_empty_manifest_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
+    manifest = tmp_path / "data" / data.MANIFEST_NAME
+    manifest.parent.mkdir()
+    manifest.write_text("", encoding="utf-8")
+    assert run_cli(command, "--config", str(cfg), "--data", str(manifest.parent), "--out", str(out_dir)) == 2
+    assert f"error: {manifest}: lists no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,allocator", [("train", "build_model"), ("eval", "load_checkpoint")])
+def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, allocator):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 24.0 TiB")
+
+    monkeypatch.setattr(cli, allocator, out_of_memory)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1, train_per_class=1)
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 24.0 TiB\n"
 
 
 def test_eval_missing_checkpoint(tmp_path, capsys):

@@ -270,24 +270,14 @@ def test_manifest_round_trip(tmp_path):
     assert load_manifest(path) == {"a": 0, "b": 1}
 
 
-def test_unlabeled_records_round_trip_through_the_manifest(tmp_path):
-    ds = Dataset(
-        (
-            EmbeddingRecord("a", np.zeros((1, 1024), dtype=np.float32), 0),
-            EmbeddingRecord("b", np.ones((2, 1024), dtype=np.float32), None),
-        ),
-        "test",
-    )
-    save_dataset(tmp_path, ds)
-    assert (tmp_path / "manifest.csv").read_bytes() == b"a,0\nb,\n"
-    loaded = load_dataset(tmp_path, "test")
-    assert [(r.id, r.label, r.features.shape) for r in loaded.records] == [
-        ("a", 0, (1, 1024)),
-        ("b", None, (2, 1024)),
-    ]
-    # a train split needs every label, and says which line lacks one
-    with pytest.raises(FormatError, match=r"manifest\.csv:2: id 'b' has no label"):
-        load_dataset(tmp_path, "train")
+def test_a_manifest_line_without_a_label_is_a_format_error(tmp_path):
+    for rec_id in ("a", "b"):
+        record = EmbeddingRecord(rec_id, np.zeros((1, 1024), dtype=np.float32))
+        save_embedding(tmp_path / f"{rec_id}.hafe", record)
+    (tmp_path / "manifest.csv").write_text("a,0\nb,\n", encoding="utf-8")
+    for split in ("train", "test"):
+        with pytest.raises(FormatError, match=r"manifest\.csv:2: id 'b' has no label"):
+            load_dataset(tmp_path, split)
 
 
 def test_manifest_malformed_line(tmp_path):
@@ -367,11 +357,13 @@ def test_duplicate_ids_rejected():
         Dataset((rec, rec), "train")
 
 
-def test_train_split_requires_labels():
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_each_split_requires_labels_and_records(split):
     rec = EmbeddingRecord("a", np.zeros((1, 4), dtype=np.float32), None)
     with pytest.raises(ValueError, match="label"):
-        Dataset((rec,), "train")
-    Dataset((rec,), "test")  # unlabeled test records are fine
+        Dataset((rec,), split)
+    with pytest.raises(ValueError, match="empty"):
+        Dataset((), split)
 
 
 # ---------------------------------------------------------------------------

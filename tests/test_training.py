@@ -425,10 +425,7 @@ def test_checkpoint_reload_preserves_metrics(tmp_path):
 
 def test_train_requires_labels_and_records():
     model = build_model(TINY)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         train(model, Dataset((), "train"))
-    unlabeled = Dataset(
-        (EmbeddingRecord("u", np.zeros((4, 16), dtype=np.float32), None),), "test"
-    )
-    with pytest.raises(ValueError):
-        train(model, unlabeled)
+    with pytest.raises(ValueError, match="label"):
+        train(model, Dataset((EmbeddingRecord("u", np.zeros((4, 16), dtype=np.float32), None),), "test"))
