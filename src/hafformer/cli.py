@@ -240,6 +240,8 @@ def _load_split(run: RunConfig, split: str, data_dir=None) -> data.Dataset:
         if data_dir is None:
             raise ConfigError("data_mode = files requires --data DIR")
         return data.load_dataset(data_dir, split, expected_cols=run.model.input_dim)
+    if data_dir is not None:
+        raise ConfigError("--data needs data_mode = files; data_mode = synthetic reads no files")
     per_class = run.train_per_class if split == "train" else run.test_per_class
     seed = run.data_seed + 1 if split == "test" else run.data_seed
     return data.synthesize_dataset(per_class, seed, run.difficulty, split)
@@ -261,10 +263,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _load_run_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = _load_split(run, "train", args.data)
     model = build_model(run.model)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     log = training.train(
         model,
         dataset,

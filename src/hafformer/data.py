@@ -111,14 +111,15 @@ class Dataset:
 def save_embedding(path, record: EmbeddingRecord) -> None:
     """Write one record; features are stored as float32 little-endian."""
     encoded = record.id.encode("utf-8")
-    rows, cols = record.features.shape
+    # read once, before the open truncates what may be this record's own file
+    features = np.ascontiguousarray(record.features, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<I", EMBEDDING_VERSION))
-        fh.write(struct.pack("<II", rows, cols))
+        fh.write(struct.pack("<II", *features.shape))
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
-        fh.write(np.ascontiguousarray(record.features, dtype="<f4").tobytes())
+        fh.write(features.tobytes())
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

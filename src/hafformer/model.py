@@ -118,7 +118,7 @@ class ParameterStore(dict[str, Tensor]):
 
 
 def _fan_in(shape: tuple[int, ...]) -> int:
-    """Inputs per output of a linear weight (in, out) or a conv kernel (Cout, Cin/groups, k)."""
+    """Inputs per output of a linear weight (in, out) or a conv kernel (Cout, Cin, k)."""
     return shape[0] if len(shape) == 2 else shape[1] * shape[2]
 
 
@@ -168,19 +168,10 @@ def build_model(cfg: ModelConfig) -> "Model":
 
 @dataclass
 class Model:
-    """A built network: config, parameters, and the wired blocks."""
+    """A built network: config and parameters."""
 
     cfg: ModelConfig
     params: ParameterStore
-
-    def __post_init__(self):
-        cfg = self.cfg
-        names = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
-        self._blocks = {
-            (s, b): {n: self.params[f"stage{s}.block{b}.{n}"] for n in names}
-            for s, depth in enumerate(cfg.stage_depths)
-            for b in range(depth)
-        }
 
     def forward(self, x, trace: list | None = None) -> Tensor:
         """Run the network on one record or a batch; returns raw logits.
@@ -210,18 +201,16 @@ class Model:
                     f"input: expected {(cfg.seq_len, cfg.input_dim)} or fewer frames, got {arr.shape}"
                 )
         store = self.params
+        names = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
         h = conv1d(
             records, store["projection.weight"], store["projection.bias"], length=cfg.seq_len
         )
         for s, depth in enumerate(cfg.stage_depths):
             h = conv1d(h, store[f"stage{s}.merge.weight"], store[f"stage{s}.merge.bias"])
             for b in range(depth):
+                params = {n: store[f"stage{s}.block{b}.{n}"] for n in names}
                 h = afformer_block(
-                    cfg.token_mixer,
-                    cfg.channel_mixer,
-                    self._blocks[(s, b)],
-                    h,
-                    channel_residual=cfg.channel_residual,
+                    cfg.token_mixer, cfg.channel_mixer, params, h, channel_residual=cfg.channel_residual
                 )
             if trace is not None:
                 trace.append((f"stage{s}", h.value.shape[1:]))

@@ -28,7 +28,7 @@ GELU_TANH_C1 = 0.044715
 LN_EPS = 1e-5  # added to the variance in every layer norm
 POOL_KERNEL = 3  # window of the sliding-mean pools
 FD_STEP = 1e-5  # central-difference step of grad_check
-CAST_BLOCK_ROWS = 128  # rows of a float32 record cast to float64 at a time by a dense conv
+CAST_BLOCK_ROWS = 128  # rows of a float32 record cast to float64 at a time by the projection
 
 
 class Tensor:
@@ -360,15 +360,6 @@ def _tap_slices(L: int, lout: int, k: int):
     return taps
 
 
-def _cast_blocks(s: np.ndarray, buf: np.ndarray):
-    """Yield (row slice, those rows of ``s`` as float64) block by block, reusing ``buf``."""
-    n = buf.shape[0]
-    for lo in range(0, s.shape[0], n):
-        x64 = buf[: min(n, s.shape[0] - lo)]
-        x64[...] = s[lo : lo + n]
-        yield slice(lo, lo + x64.shape[0]), x64
-
-
 def add_centre_tap(weight: Tensor, tap: Tensor) -> Tensor:
     """``weight`` (C, 1, k), k odd, plus the one-tap kernel ``tap`` (C, 1, 1)
     at its centre tap.
@@ -426,10 +417,10 @@ def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Ten
     same padding (k odd), stride 1, over ``length`` frames (default: the most
     rows given) of which each record holds the first rows, the rest being
     zero. The output is (B, length, Cout); no gradient flows to the records.
-    Each record's real rows are cast to float64 ``CAST_BLOCK_ROWS`` at a time
-    into one reused buffer, and each block takes one GEMM against all taps,
-    ``P.T = W_cat.T @ X.T`` with ``W_cat.T`` the weight as (k*Cout, Cin), the
-    faster orientation for the skinny projection (Cin = 1024, k*Cout = 24).
+    Each record's real rows are cast to float64 ``CAST_BLOCK_ROWS`` at a time,
+    and each block takes one GEMM against all taps, ``P.T = W_cat.T @ X.T``
+    with ``W_cat.T`` the weight as (k*Cout, Cin), the faster orientation for
+    the skinny projection (Cin = 1024, k*Cout = 24).
     Output row i then sums ``P[i + t - k//2, tap t]`` over the taps t that
     reach a real row; rows that reach none are the bias. The backward pass
     scatters each record's upstream gradient into ``G_cat`` (rows, k*Cout)
@@ -463,11 +454,11 @@ def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Ten
         w_cat_t = w.transpose(2, 0, 1).reshape(k * cout, cin)
         taps = [_tap_slices(s.shape[0], length, k) for s in seqs]
         y = np.zeros((len(seqs), length, cout))
-        buf = np.empty((max(1, min(L, CAST_BLOCK_ROWS)), cin))
+        n = CAST_BLOCK_ROWS
         for y_b, s, taps_b in zip(y, seqs, taps):
             p_t = np.empty((k * cout, s.shape[0]))
-            for rows, x64 in _cast_blocks(s, buf):
-                p_t[:, rows] = w_cat_t @ x64.T
+            for lo in range(0, s.shape[0], n):
+                p_t[:, lo : lo + n] = w_cat_t @ s[lo : lo + n].astype(np.float64).T
             p_t = p_t.reshape(k, cout, s.shape[0])
             for t, out_rows, in_rows in taps_b:
                 y_b[out_rows] += p_t[t, :, in_rows].T
@@ -481,8 +472,8 @@ def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Ten
                 for t, out_rows, in_rows in taps_b:
                     g_cat[in_rows, t] = g_b[out_rows]
                 g_cat = g_cat.reshape(s.shape[0], k * cout)
-                for rows, x64 in _cast_blocks(s, buf):
-                    gw += g_cat[rows].T @ x64
+                for lo in range(0, s.shape[0], n):
+                    gw += g_cat[lo : lo + n].T @ s[lo : lo + n].astype(np.float64)
             return gw.reshape(k, cout, cin).transpose(1, 2, 0)
 
         return Tensor(y, (weight, bias), (dw, _col_sum))

@@ -332,6 +332,28 @@ def test_train_files_mode_requires_data_dir(tmp_path, capsys):
     assert "--data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_in_synthetic_mode_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.cfg", epochs=1, train_per_class=1, test_per_class=1)
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
+    missing = tmp_path / "nonexistent"
+    assert run_cli(command, "--config", str(cfg), "--data", str(missing), "--out", str(out_dir)) == 2
+    assert "data_mode" in capsys.readouterr().err
+
+
+def test_a_train_that_fails_to_load_its_data_creates_no_out_directory(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / data.MANIFEST_NAME).write_text("r1,0\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    out_dir = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2
+    assert "r1.hafe does not exist" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "manifest", ["r1,0\nr2,1\nr1,1\n", "r1,0\nr2,2\n", "r1,0\nr2,\n"], ids=["repeated-id", "label-2", "no-label"]
 )

@@ -342,6 +342,16 @@ def test_dataset_directory_round_trip(tmp_path, rng):
         )
 
 
+def test_resaving_a_loaded_dataset_over_its_own_files_keeps_every_byte(tmp_path, rng):
+    records = tuple(
+        EmbeddingRecord(f"r{i}", rng.standard_normal((5 + i, 16), dtype=np.float32), i) for i in range(2)
+    )
+    save_dataset(tmp_path, Dataset(records))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    save_dataset(tmp_path, load_dataset(tmp_path, expected_cols=16))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path, "train")
