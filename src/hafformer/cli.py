@@ -185,12 +185,12 @@ def _gradcheck_block_cases(scale: str, seed: int):
     frames = 16 if scale == "small" else 64
     for tk, ck in ALL_MIXER_COMBOS:
         params = mixers.random_block_params(tk, ck, d, rng)
-        x = Tensor(rng.standard_normal((frames, d)), requires_grad=False)
+        x = Tensor(rng.standard_normal((frames, d)))
 
         def loss_fn(tk=tk, ck=ck, params=params, x=x):
             return sum_all(mixers.afformer_block(tk, ck, params, x))
 
-        yield f"{tk.value}+{ck.value}", loss_fn, list(params.values()), None
+        yield f"{tk.value}+{ck.value}", loss_fn, [x, *params.values()], None
 
 
 def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):

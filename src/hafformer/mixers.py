@@ -2,7 +2,9 @@
 
 Every mixer is a pre-norm residual sublayer: Y = Mix(LN(X)) + X. Token
 mixers act along the frame axis (-2), channel mixers along the feature
-axis (-1); a leading batch axis passes through.
+axis (-1); a leading batch axis passes through. The MSDW and GEGLU
+sublayers are one graph node each (``tensor.msdw_sublayer``,
+``tensor.geglu_sublayer``); the others are built from primitives.
 Parameter bundles are plain name -> Tensor mappings whose layouts, a
 block's included, are declared here and nowhere else.
 """
@@ -22,14 +24,14 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
-    add_centre_tap,
     avg_pool_channels,
     avg_pool_time,
     depthwise_conv1d,
     gelu,
+    geglu_sublayer,
     layer_norm,
     matmul,
-    mul,
+    msdw_sublayer,
     scale,
     softmax_rows,
     transpose,
@@ -137,6 +139,8 @@ def token_mix(
     x: Tensor,
 ) -> Tensor:
     """Pre-norm residual token sublayer: Mix(LN(x)) + x along the frame axis."""
+    if kind == TokenMixerKind.MSDW:
+        return msdw_sublayer(x, gamma, beta, params["depthwise7"], params["depthwise1"])
     z = layer_norm(x, gamma, beta)
     if kind == TokenMixerKind.SELF_ATTENTION:
         d = x.value.shape[-1]
@@ -155,11 +159,6 @@ def token_mix(
         out = matmul(hidden, params["project"])
     elif kind == TokenMixerKind.DW:
         out = depthwise_conv1d(z, params["depthwise"])
-    elif kind == TokenMixerKind.MSDW:
-        # the k=1 branch reads the same rows as the centre tap of the k=7 one,
-        # so the two branches are one depthwise conv with the kernels summed
-        kernel = add_centre_tap(params["depthwise7"], params["depthwise1"])
-        out = gelu(depthwise_conv1d(z, kernel))
     else:
         raise ConfigError(f"unknown token mixer kind: {kind}")
     return add(out, x)
@@ -174,14 +173,13 @@ def channel_mix(
     residual: bool = True,
 ) -> Tensor:
     """Pre-norm channel sublayer: Mix(LN(x)) (+ x) along the feature axis."""
+    if kind == ChannelMixerKind.GEGLU:
+        weights = (params[n] for n in ("w1", "b1", "w2", "b2", "w3", "b3"))
+        return geglu_sublayer(x, gamma, beta, *weights, residual)
     z = layer_norm(x, gamma, beta)
     if kind == ChannelMixerKind.FFN:
         hidden = gelu(add_bias(matmul(z, params["w_in"]), params["b_in"]))
         out = add_bias(matmul(hidden, params["w_out"]), params["b_out"])
-    elif kind == ChannelMixerKind.GEGLU:
-        gate = gelu(add_bias(matmul(z, params["w1"]), params["b1"]))
-        value = add_bias(matmul(z, params["w2"]), params["b2"])
-        out = add_bias(matmul(mul(gate, value), params["w3"]), params["b3"])
     elif kind == ChannelMixerKind.POOL:
         out = avg_pool_channels(z)
     elif kind == ChannelMixerKind.IDENTITY:

@@ -72,8 +72,9 @@ class ModelConfig:
             length //= f
         if self.head_hidden < 1:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_classes != 2:
+            # every loader gives labels 0 and 1; the field stays for the .hafc format
+            raise ConfigError(f"num_classes must be 2 (labels are binary), got {self.num_classes}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

@@ -139,12 +139,12 @@ def test_criterion_5_gradient_correctness():
             assert err < 1e-4, f"primitive {name}: {err}"
         for tk, ck in ALL_MIXER_COMBOS:
             bp = mixers.random_block_params(tk, ck, 8, rng)
-            x = Tensor(rng.standard_normal((16, 8)), requires_grad=False)
+            x = Tensor(rng.standard_normal((16, 8)))
 
             def loss_fn(tk=tk, ck=ck, bp=bp, x=x):
                 return sum_all(mixers.afformer_block(tk, ck, bp, x))
 
-            err = grad_check(loss_fn, list(bp.values()))
+            err = grad_check(loss_fn, [x, *bp.values()])
             assert err < 1e-4, f"block {tk.value}+{ck.value}: {err}"
         shrunken = replace(ModelConfig(), seq_len=64, input_dim=16, seed=5)
         model = build_model(shrunken)

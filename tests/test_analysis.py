@@ -211,7 +211,6 @@ def test_emit_skips_reference_check_off_configuration():
         (dict(stage_factors=(4, 2, 4)), False),
         (dict(stage_depths=(2, 2, 2)), False),
         (dict(head_hidden=8), False),
-        (dict(num_classes=3), False),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, dict) else None,
 )

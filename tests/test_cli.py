@@ -147,7 +147,7 @@ MODEL_VALUES = dict(
     token_mixer=TokenMixerKind.DW,
     channel_mixer=ChannelMixerKind.FFN,
     head_hidden=6,
-    num_classes=3,
+    num_classes=2,  # its one legal value: labels are binary
     channel_residual=False,
     seed=9,
 )
@@ -351,6 +351,14 @@ def test_a_train_that_fails_to_load_its_data_creates_no_out_directory(tmp_path, 
     out_dir = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2
     assert "r1.hafe does not exist" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_train_with_three_classes_exits_2_before_creating_out(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", epochs=1, seq_len=512, num_classes=3)
+    out_dir = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out_dir)) == 2
+    assert "num_classes must be 2" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

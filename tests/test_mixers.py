@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,18 @@ from hafformer.mixers import (
     token_mix,
     token_param_shapes,
 )
-from hafformer.tensor import Tensor, add, depthwise_conv1d, gelu, grad_check, layer_norm, sum_all
+from hafformer.tensor import (
+    Tensor,
+    add,
+    add_bias,
+    depthwise_conv1d,
+    gelu,
+    grad_check,
+    layer_norm,
+    matmul,
+    mul,
+    sum_all,
+)
 
 from oracle_forward import ref_attention
 
@@ -46,35 +58,83 @@ def test_msdw_zero_weights_is_identity(rng):
     assert np.array_equal(out.value, x)
 
 
-@pytest.mark.parametrize("shape", [(16, 8), (3, 16, 8), (2, 5, 8)], ids=["one", "batch", "short"])
-def test_msdw_folded_kernel_matches_the_two_branch_form(rng, shape):
-    """One conv with the k=1 kernel added to the k=7 centre tap: the same
-    output, input gradient and gradients of both kernels as two convs and an add."""
+SUBLAYER_SHAPES = dict(argvalues=[(16, 8), (3, 16, 8), (2, 5, 8)], ids=["one", "batch", "short"])
+
+
+def assert_same_node(rng, shape, shapes, fused, composed):
+    """``fused`` and ``composed``, each called as ``(params, x)``, give the same
+    output, input gradient and parameter gradients, to 1e-12 relative."""
     d = shape[-1]
     x = rng.standard_normal(shape)
     g = rng.standard_normal(shape)
-    gamma = Tensor(1.0 + 0.1 * rng.standard_normal(d))
-    beta = Tensor(0.1 * rng.standard_normal(d))
-    shapes = token_param_shapes(TokenMixerKind.MSDW, d)
-    values = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    values = {"gamma": 1.0 + 0.1 * rng.standard_normal(d), "beta": 0.1 * rng.standard_normal(d)}
+    values.update((n, rng.standard_normal(s)) for n, s in shapes.items())
 
     def run(mix):
         params = {n: Tensor(v) for n, v in values.items()}
         xt = Tensor(x)
         out = mix(params, xt)
         out.backward(g)
-        return out.value, xt.grad, params["depthwise7"].grad, params["depthwise1"].grad
+        return [out.value, xt.grad, *(t.grad for t in params.values())]
+
+    for got, want in zip(run(fused), run(composed), strict=True):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", **SUBLAYER_SHAPES)
+def test_msdw_folded_kernel_matches_the_two_branch_form(rng, shape):
+    """The MSDW node, one conv with the k=1 kernel added to the k=7 centre
+    tap: the same output and gradients as the primitives with two convs."""
 
     def two_branch(p, xt):
-        z = layer_norm(xt, gamma, beta)
+        z = layer_norm(xt, p["gamma"], p["beta"])
         wide = depthwise_conv1d(z, p["depthwise7"])
         narrow = depthwise_conv1d(z, p["depthwise1"])
         return add(gelu(add(wide, narrow)), xt)
 
-    folded = run(lambda p, xt: token_mix(TokenMixerKind.MSDW, p, gamma, beta, xt))
-    for got, want in zip(folded, run(two_branch)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    def fused(p, xt):
+        return token_mix(TokenMixerKind.MSDW, p, p["gamma"], p["beta"], xt)
+
+    assert_same_node(rng, shape, token_param_shapes(TokenMixerKind.MSDW, shape[-1]), fused, two_branch)
+
+
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "no_residual"])
+@pytest.mark.parametrize("shape", **SUBLAYER_SHAPES)
+def test_geglu_node_matches_the_primitive_form(rng, shape, residual):
+    """The GEGLU node: the same output and gradients as the primitives it
+    replaces, a node per matmul, bias, GELU, product and residual."""
+
+    def primitives(p, xt):
+        z = layer_norm(xt, p["gamma"], p["beta"])
+        gate = gelu(add_bias(matmul(z, p["w1"]), p["b1"]))
+        value = add_bias(matmul(z, p["w2"]), p["b2"])
+        out = add_bias(matmul(mul(gate, value), p["w3"]), p["b3"])
+        return add(out, xt) if residual else out
+
+    def fused(p, xt):
+        return channel_mix(ChannelMixerKind.GEGLU, p, p["gamma"], p["beta"], xt, residual=residual)
+
+    shapes = channel_param_shapes(ChannelMixerKind.GEGLU, shape[-1])
+    assert_same_node(rng, shape, shapes, fused, primitives)
+
+
+def test_a_block_graph_holds_only_what_its_backward_reads(rng):
+    """An MSDW + GEGLU block's graph keeps, per sublayer, x̂, each row's 1/σ,
+    the pre-activations, the tanh of the GELU and its output: at most 14
+    input-sized arrays, where a node per primitive kept about 25."""
+    tk, ck = TokenMixerKind.MSDW, ChannelMixerKind.GEGLU
+    bp = random_block_params(tk, ck, 8, rng)
+    x = Tensor(rng.standard_normal((4, 256, 8)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = afformer_block(tk, ck, bp, x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.value.shape == x.value.shape
+    assert (held - before) / x.value.nbytes <= 14
 
 
 def test_pool_token_mixer_on_time_constant_input(rng):
@@ -232,12 +292,12 @@ def test_short_sequence_warning(rng):
 def test_block_gradients_all_combos(tk, ck):
     rng = np.random.default_rng(hash((tk.value, ck.value)) % 2**31)
     bp = random_block_params(tk, ck, 8, rng)
-    x = Tensor(rng.standard_normal((16, 8)), requires_grad=False)
+    x = Tensor(rng.standard_normal((16, 8)))
 
     def f():
         return sum_all(afformer_block(tk, ck, bp, x))
 
-    assert grad_check(f, list(bp.values())) < 1e-4
+    assert grad_check(f, [x, *bp.values()]) < 1e-4
 
 
 @pytest.mark.parametrize("tk,ck", ALL_MIXER_COMBOS)

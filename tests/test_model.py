@@ -58,6 +58,7 @@ def test_preset_on_indivisible_seq_len():
         ("stage_factors", (4, 0, 2)),
         ("stage_depths", (2, 2)),
         ("num_classes", 1),
+        ("num_classes", 3),
         ("head_hidden", 0),
         ("seed", -3),
     ],

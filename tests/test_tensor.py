@@ -16,11 +16,13 @@ from hafformer.tensor import (
     conv1d,
     cross_entropy,
     depthwise_conv1d,
+    geglu_sublayer,
     gelu,
     grad_check,
     layer_norm,
     matmul,
     mean_pool_time,
+    msdw_sublayer,
     mul,
     scale,
     softmax_rows,
@@ -123,6 +125,28 @@ def test_depthwise_conv1d_matches_brute_force_on_a_batch(rng, L, k):
 def test_depthwise_conv1d_rejects_a_weight_that_is_not_c_1_k_odd(shape):
     with pytest.raises(ShapeError, match="depthwise_conv1d"):
         depthwise_conv1d(Tensor(np.zeros((8, 4))), Tensor(np.zeros(shape)))
+
+
+MSDW_SHAPES = [(4,), (4,), (4, 1, 7), (4, 1, 1)]  # gamma, beta, w7, w1
+GEGLU_SHAPES = [(4,), (4,), (4, 6), (6,), (4, 6), (6,), (6, 4), (4,)]  # gamma ... b3
+
+
+@pytest.mark.parametrize(
+    "node,shapes,i,bad",
+    [
+        (msdw_sublayer, MSDW_SHAPES, 0, (5,)),
+        (msdw_sublayer, MSDW_SHAPES, 2, (4, 1, 6)),
+        (msdw_sublayer, MSDW_SHAPES, 3, (4, 1, 3)),
+        (geglu_sublayer, GEGLU_SHAPES, 2, (6, 4)),
+        (geglu_sublayer, GEGLU_SHAPES, 5, (4,)),
+        (geglu_sublayer, GEGLU_SHAPES, 6, (6, 5)),
+    ],
+)
+def test_fused_sublayers_reject_parameters_that_do_not_fit(node, shapes, i, bad):
+    params = [Tensor(np.zeros(bad if j == i else s)) for j, s in enumerate(shapes)]
+    residual = (True,) if node is geglu_sublayer else ()
+    with pytest.raises(ShapeError, match=node.__name__):
+        node(Tensor(np.zeros((8, 4))), *params, *residual)
 
 
 # (L, k, stride, padding) of the two dense convs on a whole input: the
@@ -481,6 +505,19 @@ def _loss_builders(rng, rows):
             return sum_all(gelu(depthwise_conv1d(matmul(lift, x), w)))
 
         builders[f"depthwise_L{L}_k{k}"] = (depthwise, [w])
+    # the fused sublayers, with every leaf checked; fewer rows than the
+    # kernel width leave MSDW's outer taps clipped
+    norm = [Tensor(1.0 + 0.1 * rng.standard_normal(8)), Tensor(0.1 * rng.standard_normal(8))]
+    msdw = [*norm, *(Tensor(0.5 * rng.standard_normal((8, 1, k))) for k in (7, 1))]
+    builders["msdw_sublayer"] = (lambda x: sum_all(mul(msdw_sublayer(x, *msdw), x)), msdw)
+    geglu_shapes = ((8, 16), (16,), (8, 16), (16,), (16, 8), (8,))  # w1, b1, w2, b2, w3, b3
+    geglu = [*norm, *(Tensor(0.5 * rng.standard_normal(s)) for s in geglu_shapes)]
+    for residual in (True, False):
+
+        def sublayer(x, residual=residual):
+            return sum_all(mul(geglu_sublayer(x, *geglu, residual), x))
+
+        builders[f"geglu_sublayer_residual_{residual}"] = (sublayer, geglu)
     return builders
 
 
