@@ -23,20 +23,5 @@ for _var in _THREAD_VARS:
     _os.environ.setdefault(_var, _threads)
 
 from . import analysis, data, mixers, model, tensor, training  # noqa: E402
-from .analysis import CostReport, count_costs, emit_cost_table  # noqa: E402
-from .data import Dataset, EmbeddingRecord, load_embedding, pad_or_truncate, save_embedding, synthesize_dataset  # noqa: E402
-from .mixers import ChannelMixerKind, TokenMixerKind, afformer_block, channel_mix, token_mix  # noqa: E402
-from .model import (  # noqa: E402
-    HierarchyPreset,
-    Model,
-    ModelConfig,
-    ParameterStore,
-    apply_preset,
-    build_model,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .tensor import Tensor, grad_check  # noqa: E402
-from .training import Metrics, OptimizerState, adamw_step, cross_entropy, evaluate, train  # noqa: E402
 
 __version__ = "0.1.0"

@@ -179,29 +179,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _gradcheck_block_cases(scale: str, seed: int):
+def _gradcheck_block_cases(seed: int):
     rng = np.random.default_rng(seed)
     d = 8
-    frames = 16 if scale == "small" else 64
     for tk, ck in ALL_MIXER_COMBOS:
         params = mixers.random_block_params(tk, ck, d, rng)
-        x = Tensor(rng.standard_normal((frames, d)))
+        x = Tensor(rng.standard_normal((16, d)))
 
         def loss_fn(tk=tk, ck=ck, params=params, x=x):
             return sum_all(mixers.afformer_block(tk, ck, params, x))
 
-        yield f"{tk.value}+{ck.value}", loss_fn, [x, *params.values()], None
+        yield f"{tk.value}+{ck.value}", loss_fn, [x, *params.values()]
 
 
-def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):
+def _gradcheck_model_case(cfg: ModelConfig, seed: int):
+    """The configured model shrunk to 16 channels and about 64 frames, a
+    multiple of the product of its stage factors, so that every coordinate
+    can be checked."""
     rng = np.random.default_rng(seed + 1)
-    if scale == "small":
-        # about 64 frames, divisible by every stage factor's running product
-        period = math.prod(cfg.stage_factors)
-        cfg = replace(cfg, seq_len=period * max(1, 64 // period), input_dim=16)
-        coord_limit = None
-    else:
-        coord_limit = 4  # full-size model: deterministic coordinate subsample
+    period = math.prod(cfg.stage_factors)
+    cfg = replace(cfg, seq_len=period * max(1, 64 // period), input_dim=16)
     model = build_model(cfg)
     # a batch of two full-length records: zero-padded short ones leave the
     # norms of a fresh model too curved for finite differences
@@ -210,17 +207,17 @@ def _gradcheck_model_case(cfg: ModelConfig, scale: str, seed: int):
     def loss_fn():
         return training.cross_entropy(model.forward(batch), [0, 1])
 
-    return "end-to-end", loss_fn, model.params.tensors(), coord_limit
+    return "end-to-end", loss_fn, list(model.params.values())
 
 
 def cmd_gradcheck(args) -> int:
     run = _load_run_config(args)
     seed = args.seed if args.seed is not None else 2024
-    cases = list(_gradcheck_block_cases(args.scale, seed))
-    cases.append(_gradcheck_model_case(run.model, args.scale, seed))
+    cases = list(_gradcheck_block_cases(seed))
+    cases.append(_gradcheck_model_case(run.model, seed))
     failures = []
-    for name, loss_fn, params, coord_limit in cases:
-        err = grad_check(loss_fn, params, coord_limit=coord_limit, seed=seed)
+    for name, loss_fn, params in cases:
+        err = grad_check(loss_fn, params)
         ok = err < GRADCHECK_TOLERANCE
         print(f"{name:<28} max_rel_err={err:.3e}  {'PASS' if ok else 'FAIL'}")
         if not ok:
@@ -329,13 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for all mixer combos")
     common(p)
-    p.add_argument(
-        "--scale",
-        choices=("paper", "small"),
-        default="small",
-        help="small: shrunken end-to-end model (full coordinate sweep); "
-        "paper: configured sizes with a coordinate subsample",
-    )
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="write a synthetic embedding dataset")

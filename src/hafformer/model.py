@@ -103,9 +103,6 @@ def apply_preset(preset: HierarchyPreset, cfg: ModelConfig) -> ModelConfig:
 class ParameterStore(dict[str, Tensor]):
     """Ordered name -> leaf Tensor map of a model's parameters."""
 
-    def tensors(self) -> list[Tensor]:
-        return list(self.values())
-
     def zero_grad(self) -> None:
         for t in self.values():
             t.grad = None

@@ -666,20 +666,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor([[loss]], (logits,), (dz,))
 
 
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    coord_limit: int | None = None,
-    seed: int = 0,
-) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Compare reverse-mode gradients of ``f()`` against central differences.
 
     ``f`` must rebuild its graph from the current values of ``params`` on
-    every call and return a scalar (1x1) Tensor. Returns the max over
-    checked coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|), with
+    every call and return a scalar (1x1) Tensor. Returns the max over every
+    coordinate of ``params`` of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|), with
     differences taken at a step of ``FD_STEP``.
-    ``coord_limit`` optionally caps coordinates per tensor (deterministic
-    subsample) for large models.
     """
     params = list(params)
     loss = f()
@@ -695,16 +688,11 @@ def grad_check(
         for p in params
     ]
 
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for p, ga in zip(params, grads):
         flat = p.value.reshape(-1)
         gflat = ga.reshape(-1)
-        if coord_limit is not None and flat.size > coord_limit:
-            coords = sorted(rng.choice(flat.size, size=coord_limit, replace=False).tolist())
-        else:
-            coords = range(flat.size)
-        for ci in coords:
+        for ci in range(flat.size):
             orig = flat[ci]
             flat[ci] = orig + FD_STEP
             fp = float(f().value.reshape(-1)[0])

@@ -149,7 +149,7 @@ def test_criterion_5_gradient_correctness():
         shrunken = replace(ModelConfig(), seq_len=64, input_dim=16, seed=5)
         model = build_model(shrunken)
         x = rng.standard_normal((64, 16))
-        err = grad_check(lambda: cross_entropy(model.forward(x), 1), model.params.tensors())
+        err = grad_check(lambda: cross_entropy(model.forward(x), 1), list(model.params.values()))
         assert err < 1e-4, f"end-to-end: {err}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"gradient checks took {elapsed:.1f}s"

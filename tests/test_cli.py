@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -228,12 +229,25 @@ def test_readme_layout_lists_every_module():
     assert sorted(listed) == sorted(module.name for module in modules)
 
 
+def test_readme_haff_lines_parse():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("haff ")]
+    assert len(lines) >= 7
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
 
 def test_gradcheck_passes(capsys):
-    assert run_cli("gradcheck", "--scale", "small") == 0
+    assert run_cli("gradcheck") == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "max_rel_err" in l]
     assert len(lines) == 25
     assert all(l.endswith("PASS") for l in lines)
@@ -241,7 +255,7 @@ def test_gradcheck_passes(capsys):
 
 def test_gradcheck_small_fits_its_length_to_the_stage_factors(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", seq_len=100, stage_factors="5,5", stage_depths="1,1")
-    assert run_cli("gradcheck", "--config", str(cfg), "--scale", "small") == 0
+    assert run_cli("gradcheck", "--config", str(cfg)) == 0
     assert capsys.readouterr().out.count("PASS") == 25
 
 
@@ -254,7 +268,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
         return Tensor(out.value, out.parents, (lambda g: 1.5 * out.vjps[0](g) + 0.1,))
 
     monkeypatch.setattr(mixers, "gelu", broken_gelu)
-    assert run_cli("gradcheck", "--scale", "small") == 1
+    assert run_cli("gradcheck") == 1
     out = capsys.readouterr()
     assert "FAIL" in out.out
     assert "gradcheck failed" in out.err
@@ -691,3 +705,14 @@ def test_thread_cap_warns_when_numpy_was_imported_first(code, preset, warns):
         assert "no effect" in result.stderr
     else:
         assert result.stderr == ""
+
+
+def test_a_fresh_import_exposes_the_submodules():
+    code = (
+        "import hafformer as h, types; "
+        "print(all(isinstance(getattr(h, name), types.ModuleType) for name in "
+        "('analysis', 'data', 'mixers', 'model', 'tensor', 'training')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"

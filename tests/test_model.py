@@ -275,7 +275,7 @@ def test_end_to_end_gradients_on_a_short_record(rng):
     def f():
         return cross_entropy(model.forward(x), 1)
 
-    assert grad_check(f, model.params.tensors()) < 1e-4
+    assert grad_check(f, list(model.params.values())) < 1e-4
 
 
 @pytest.mark.parametrize("shape", [(0, 16), (64,), (32, 15), (32, 16, 1)])
@@ -359,7 +359,7 @@ def test_end_to_end_gradients_shrunken_model(rng):
     def f():
         return cross_entropy(model.forward(x), 1)
 
-    assert grad_check(f, model.params.tensors()) < 1e-4
+    assert grad_check(f, list(model.params.values())) < 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -194,27 +194,57 @@ def test_conv1d_merge_rejects_uneven_frames_and_a_length():
 
 def _projection_cases():
     """(L, k, stride, padding, rows): the projection's stride 1 and same
-    padding, given records of 1, L//2, L-1 and L rows of L frames."""
+    padding, given records of 1, L//2, L-1 and L rows of L frames, and
+    records of 3200 frames that span more than one cast block."""
     for L in (2, 16):
         for k in (1, 3, 5):
             for rows in sorted({1, L // 2, L - 1, L}):
                 yield L, k, 1, k // 2, rows
+    for k in (1, 3, 5):
+        for rows in (129, 300, 1999):
+            yield 3200, k, 1, k // 2, rows
 
 
-@pytest.mark.parametrize(
-    "L,k,stride,padding,rows", [(3200, 3, 1, 1, 1999), (3200, 3, 1, 1, 3200), *_projection_cases()]
-)
+def brute_projection_dw(records, g, k):
+    """The projection's weight gradient as a sum over each record's windows,
+    zero-extended to the length of ``g`` and zero-padded by k//2 at each end."""
+    L = g.shape[1]
+    dw = np.zeros((g.shape[2], records[0].shape[1], k))
+    for record, g_b in zip(records, g):
+        padded = np.zeros((L + k - 1, record.shape[1]))
+        padded[k // 2 : k // 2 + record.shape[0]] = record
+        for t in range(k):
+            dw[:, :, t] += g_b.T @ padded[t : t + L]
+    return dw
+
+
+@pytest.mark.parametrize("L,k,stride,padding,rows", [(3200, 3, 1, 1, 3200), *_projection_cases()])
 def test_conv1d_length_matches_the_zero_extended_input(rng, L, k, stride, padding, rows):
     # a float64 record of ``rows`` rows and a float32 one of the rest, in one call
     records = [rng.standard_normal((rows, 6)), rng.standard_normal((L - rows + 1, 6)).astype(np.float32)]
     w = rng.standard_normal((5, 6, k))
     b = rng.standard_normal(5)
-    out = conv1d(records, Tensor(w), Tensor(b), length=L)
+    weight = Tensor(w)
+    out = conv1d(records, weight, Tensor(b), length=L)
     assert out.value.shape == (2, L, 5)
     for got, record in zip(out.value, records):
         extended = np.concatenate([record, np.zeros((L - record.shape[0], 6))])
         expect = brute_conv1d(extended, w, b, stride=stride, padding=padding)
         assert np.max(np.abs(got - expect)) < 1e-12
+    g = rng.standard_normal((2, L, 5))
+    out.backward(g)
+    expect = brute_projection_dw(records, g, k)
+    assert np.max(np.abs(weight.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_conv1d_projection_weight_gradient_at_the_paper_width(rng):
+    L = 3200
+    records = [rng.standard_normal((1999, 1024), dtype=np.float32)]
+    w = Tensor(rng.standard_normal((8, 1024, 3)))
+    g = rng.standard_normal((1, L, 8))
+    conv1d(records, w, Tensor(np.zeros(8)), length=L).backward(g)
+    expect = brute_projection_dw(records, g, 3)
+    assert np.max(np.abs(w.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def test_conv1d_length_shorter_than_the_rows_is_rejected():
