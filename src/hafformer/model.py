@@ -4,7 +4,8 @@ The network maps a (frames x input_dim) matrix of at most seq_len frames,
 zero-extended to seq_len, or a batch of them, to class logits:
 projection conv (same padding) down to ``d_model`` channels, then per stage
 a strided merge conv followed by the stage's blocks, then a final layer
-norm, temporal mean pooling, and a two-layer head. Checkpoints are a
+norm, temporal mean pooling, and a two-layer head. The projection and the
+stage-0 merge are computed as one conv. Checkpoints are a
 bit-exact binary format (magic ``HAFC``).
 """
 
@@ -179,12 +180,16 @@ class Model:
         (B, classes) logits in one graph. A record has 1 <= frames <=
         seq_len; the frames missing up to ``seq_len`` count as zero frames,
         so a short record and its zero-padded copy give the same logits (to
-        rounding: the projection's GEMM sums in an order that depends on the
-        row count). Records may be float32: the projection casts each one's
-        given frames to float64 a block at a time for its GEMMs, and only
-        those frames are multiplied. Its output has ``seq_len`` frames per
-        record, the tail rows being its bias, and everything after it, the
-        mean pool included, runs over all ``seq_len`` frames. ``trace``, when
+        rounding: the projection's GEMMs sum in an order that depends on the
+        row count). The projection and the stage-0 merge run as one conv
+        (``conv1d`` given the records and ``merge``), of width proj_kernel +
+        stage_factors[0] - 1 and stride stage_factors[0]; the merges of the
+        later stages are their own convs. Records may be float32: that conv
+        casts each one's given frames to float64 a block at a time for its
+        GEMMs, and only those frames are multiplied. Its output has
+        ``seq_len / stage_factors[0]`` frames per record, the rows past the
+        real frames being what zero frames give, and everything after it,
+        the mean pool included, runs over all of them. ``trace``, when
         given, collects the (frames, channels) shape of a record after each
         stage.
         """
@@ -200,11 +205,16 @@ class Model:
                 )
         store = self.params
         names = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
+        merges = [
+            (store[f"stage{s}.merge.weight"], store[f"stage{s}.merge.bias"])
+            for s in range(len(cfg.stage_depths))
+        ]
         h = conv1d(
-            records, store["projection.weight"], store["projection.bias"], length=cfg.seq_len
+            records, store["projection.weight"], store["projection.bias"], length=cfg.seq_len, merge=merges[0]
         )
         for s, depth in enumerate(cfg.stage_depths):
-            h = conv1d(h, store[f"stage{s}.merge.weight"], store[f"stage{s}.merge.bias"])
+            if s:
+                h = conv1d(h, *merges[s])
             for b in range(depth):
                 params = {n: store[f"stage{s}.block{b}.{n}"] for n in names}
                 h = afformer_block(

@@ -11,9 +11,9 @@ graph node carrying one vector-Jacobian closure per parent;
 ``Tensor.backward`` visits every node exactly once in reverse topological
 order, parents in declaration order, so gradient accumulation is
 bit-deterministic, and it frees each interior node as soon as its closures
-have run. No primitive mutates its inputs. The MSDW and GEGLU sublayers are
-fused nodes whose closures share one backward and which keep only what it
-reads; the formulas they share with the primitives (layer norm, GELU, the
+have run. No primitive mutates its inputs. The projection with the merge
+after it, and the MSDW and GEGLU sublayers, are fused nodes whose closures
+share one backward and which keep only what it reads; the formulas they share with the primitives (layer norm, GELU, the
 depthwise taps) are array helpers that both call.
 """
 
@@ -427,24 +427,140 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     )
 
 
-def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Tensor:
+def _phase_plan(k: int, f: int) -> list[list[tuple[int, int]]]:
+    """Per row phase q of the folded conv (width k + f - 1, stride f, offset
+    -k//2), the (u, e) of each tap u that a row of phase q meets.
+
+    Tap u of output row j reads input row f*j + u - k//2 = f*(j + e) + q, so
+    it takes row j + e of the phase-q rows, with (e, q) = divmod(u - k//2, f).
+    """
+    plan: list[list[tuple[int, int]]] = [[] for _ in range(f)]
+    for u in range(k + f - 1):
+        e, q = divmod(u - k // 2, f)
+        plan[q].append((u, e))
+    return plan
+
+
+def _phase_slices(rows: int, groups: int, f: int, cout: int, plan):
+    """Per phase q of ``plan``, for a record of ``rows`` real rows and
+    ``groups`` output rows: the number of real rows of phase q, and (columns
+    of tap u in C_q, output rows, phase-q rows) for each tap u of phase q
+    that reaches one of them, output row j taking phase row j + e."""
+    out = []
+    for q, taps in enumerate(plan):
+        n_q = (rows - q + f - 1) // f
+        pairs = []
+        for i, (_, e) in enumerate(taps):
+            j_lo, j_hi = max(0, -e), min(groups, n_q - e)
+            if j_hi > j_lo:
+                pairs.append((slice(i * cout, (i + 1) * cout), slice(j_lo, j_hi), slice(j_lo + e, j_hi + e)))
+        out.append((n_q, pairs))
+    return out
+
+
+def _fold_terms(plan, k: int, f: int, cout: int):
+    """(q, columns of tap u in C_q, t, m) for each product W_t^T M_m^T, t + m = u,
+    that the folded tap C_u sums."""
+    for q, taps in enumerate(plan):
+        for i, (u, _) in enumerate(taps):
+            for t in range(max(0, u - f + 1), min(k, u + 1)):
+                yield q, slice(i * cout, (i + 1) * cout), t, u - t
+
+
+def _projection_merge(seqs, weight: Tensor, bias: Tensor, merge, length: int) -> Tensor:
+    """The list branch of ``conv1d``: projection and merge folded into one node."""
+    w, b = weight.value, bias.value
+    mw, mb = (t.value for t in merge)
+    d, cin, k = w.shape
+    if mw.ndim != 3 or mw.shape[1] != d or mb.shape != (mw.shape[0],):
+        raise ShapeError(f"conv1d: merge {mw.shape}/{mb.shape} does not follow {d} projected channels")
+    cout, _, f = mw.shape
+    if length % f:
+        raise ShapeError(f"conv1d: length {length} is not a multiple of the merge's {f}")
+    groups = length // f
+    plan = _phase_plan(k, f)
+    slices = [_phase_slices(s.shape[0], groups, f, cout, plan) for s in seqs]
+    n = max(1, CAST_BLOCK_ROWS // f) * f  # a whole number of merge groups per cast block
+    block = (min(n, max(s.shape[0] for s in seqs)), cin)  # the float64 buffer of one cast block
+
+    def cast_blocks(s, buf):
+        """Each block of ``s`` cast into ``buf``, as (its first group, its rows of each phase)."""
+        for lo in range(0, s.shape[0], n):
+            xb = buf[: min(n, s.shape[0] - lo)]
+            xb[:] = s[lo : lo + n]
+            yield lo // f, [xb[q::f] for q in range(f)]
+
+    cq = [np.zeros((cin, len(taps) * cout)) for taps in plan]
+    for q, cols, t, m in _fold_terms(plan, k, f, cout):
+        cq[q][:, cols] += w[:, :, t].T @ mw[:, :, m].T
+    buf = np.empty(block)
+    z = np.zeros((len(seqs), groups, cout))
+    for z_b, s, slices_b in zip(z, seqs, slices):
+        p = [np.empty((n_q, c.shape[1])) for (n_q, _), c in zip(slices_b, cq)]
+        for g0, xq in cast_blocks(s, buf):
+            for p_q, x_q, c_q in zip(p, xq, cq):
+                np.matmul(x_q, c_q, out=p_q[g0 : g0 + x_q.shape[0]])
+        for p_q, (_, pairs) in zip(p, slices_b):
+            for cols, out_rows, in_rows in pairs:
+                z_b[out_rows] += p_q[in_rows, cols]
+    z += mw.sum(axis=2) @ b + mb
+
+    def grads(g):
+        buf = np.empty(block)
+        dcq = [np.zeros((cin, len(taps) * cout)) for taps in plan]
+        for g_b, s, slices_b in zip(g, seqs, slices):
+            gq = [np.zeros((n_q, c.shape[1])) for (n_q, _), c in zip(slices_b, dcq)]
+            for g_q, (_, pairs) in zip(gq, slices_b):
+                for cols, out_rows, in_rows in pairs:
+                    g_q[in_rows, cols] = g_b[out_rows]
+            for g0, xq in cast_blocks(s, buf):
+                for dc_q, x_q, g_q in zip(dcq, xq, gq):
+                    dc_q += x_q.T @ g_q[g0 : g0 + x_q.shape[0]]
+        gsum = _col_sum(g)
+        dw, dm = np.zeros_like(w), np.zeros_like(mw)
+        for q, cols, t, m in _fold_terms(plan, k, f, cout):
+            dc_u = dcq[q][:, cols]
+            dw[:, :, t] += (dc_u @ mw[:, :, m]).T
+            dm[:, :, m] += (w[:, :, t] @ dc_u).T
+        dm += np.outer(gsum, b)[:, :, None]
+        return dw, gsum @ mw.sum(axis=2), dm, gsum
+
+    return Tensor(z, (weight, bias, *merge), _joint_vjps(grads, 4))
+
+
+def conv1d(
+    x, weight: Tensor, bias: Tensor, *, length: int | None = None, merge: tuple[Tensor, Tensor] | None = None
+) -> Tensor:
     """The model's two dense convolutions along the frame axis, each with a
     bias; ``weight`` is (Cout, Cin, k) and the kind of ``x`` picks the conv.
 
-    A list of B records (rows_b, Cin) of any float dtype is the projection:
-    same padding (k odd), stride 1, over ``length`` frames (default: the most
-    rows given) of which each record holds the first rows, the rest being
-    zero. The output is (B, length, Cout); no gradient flows to the records.
-    Each record's real rows are cast to float64 ``CAST_BLOCK_ROWS`` at a time,
-    and each block takes one GEMM against all taps, ``P.T = W_cat.T @ X.T``
-    with ``W_cat.T`` the weight as (k*Cout, Cin), the faster orientation for
-    the skinny projection (Cin = 1024, k*Cout = 24).
-    Output row i then sums ``P[i + t - k//2, tap t]`` over the taps t that
-    reach a real row; rows that reach none are the bias. The backward pass
-    scatters each record's upstream gradient into ``G_cat`` (rows, k*Cout)
-    by the same index map and sums ``dW = G_cat.T @ X`` over the blocks, cast
-    again. No padded copy of a record is made and no float64 copy of more
-    than one block exists at a time, so the cast holds about 1 MB.
+    A list of B records (rows_b, Cin) of any float dtype is the projection
+    followed by the merge ``merge = (M, b_m)`` that comes after it, as one
+    node. The projection is same-padded (k odd), stride 1, over ``length``
+    frames (default: the most rows given) of which each record holds the
+    first rows, the rest being zero; the merge M (Cout', Cout, f) has stride
+    f, no padding, and ``length`` must be a multiple of f. A stride-f merge
+    of a linear conv is one linear conv, of width k + f - 1 and stride f,
+    with taps ``C_u = sum over t + m = u of W_t^T M_m^T`` (W_t = weight[:, :,
+    t], M_m = M[:, :, m]) and bias ``b @ sum_m M_m^T + b_m``, so output row j
+    is ``sum_u x[f*j + u - k//2] @ C_u`` plus that bias: half the
+    projection's MACs for the paper's k = 3, f = 4. The output is (B,
+    length/f, Cout'); no gradient flows to the records.
+
+    Each record's real rows are cast to float64 ``CAST_BLOCK_ROWS`` at a time
+    (rounded down to whole merge groups), into one block buffer that each
+    pass allocates and reuses for every block. A block's rows of phase q = row
+    mod f take one GEMM ``X_q @ C_q``, with ``C_q`` the taps that phase
+    meets, stacked; output row j then adds row j + e of that product for
+    each tap (see ``_phase_plan``), and taps that reach no real row add
+    nothing. The backward pass scatters each record's upstream gradient into
+    ``G_q`` by the same index map, casts the blocks again and sums ``dC_q =
+    X_q^T @ G_q``; the gradients of the projection and the merge follow from
+    small products of each dC_u with W_t and M_m. The node
+    keeps the records, its four parameters and the index map: the folded
+    taps are recomputed. No padded copy of a record is made and no float64
+    copy of more than one block exists at a time, so the cast holds about
+    1 MB.
 
     A Tensor (L, Cin) or (B, L, Cin), L a multiple of k, is a merge: stride
     k, no padding, so every input row meets one tap. Each sequence reshapes
@@ -469,38 +585,15 @@ def conv1d(x, weight: Tensor, bias: Tensor, *, length: int | None = None) -> Ten
             raise ShapeError(f"conv1d: length {length} is shorter than the {L} rows given")
         if wcin != cin or k % 2 == 0:
             raise ShapeError(f"conv1d: weight {w.shape} is not (Cout, {cin}, k), k odd")
-        w_cat_t = w.transpose(2, 0, 1).reshape(k * cout, cin)
-        taps = [_tap_slices(s.shape[0], length, k) for s in seqs]
-        y = np.zeros((len(seqs), length, cout))
-        n = CAST_BLOCK_ROWS
-        for y_b, s, taps_b in zip(y, seqs, taps):
-            p_t = np.empty((k * cout, s.shape[0]))
-            for lo in range(0, s.shape[0], n):
-                p_t[:, lo : lo + n] = w_cat_t @ s[lo : lo + n].astype(np.float64).T
-            p_t = p_t.reshape(k, cout, s.shape[0])
-            for t, out_rows, in_rows in taps_b:
-                y_b[out_rows] += p_t[t, :, in_rows].T
-        y += bias.value
-
-        def dw(g):
-            # (k*Cout, Cin) -> (Cout, Cin, k); G_cat.T @ X is the faster orientation
-            gw = np.zeros((k * cout, cin))
-            for g_b, s, taps_b in zip(g, seqs, taps):
-                g_cat = np.zeros((s.shape[0], k, cout))
-                for t, out_rows, in_rows in taps_b:
-                    g_cat[in_rows, t] = g_b[out_rows]
-                g_cat = g_cat.reshape(s.shape[0], k * cout)
-                for lo in range(0, s.shape[0], n):
-                    gw += g_cat[lo : lo + n].T @ s[lo : lo + n].astype(np.float64)
-            return gw.reshape(k, cout, cin).transpose(1, 2, 0)
-
-        return Tensor(y, (weight, bias), (dw, _col_sum))
+        if merge is None:
+            raise ShapeError("conv1d: a list of records takes the merge that follows the projection")
+        return _projection_merge(seqs, weight, bias, merge, length)
 
     _require_frames(x, "conv1d")
     xv = x.value
     L, cin = xv.shape[-2:]
-    if length is not None:
-        raise ShapeError("conv1d: length applies to a list of records only")
+    if length is not None or merge is not None:
+        raise ShapeError("conv1d: length and merge apply to a list of records only")
     if wcin != cin or L % k:
         raise ShapeError(f"conv1d: merge weight {w.shape} does not fit {L} frames of width {cin}")
     w_r = w.transpose(2, 1, 0).reshape(k * cin, cout)

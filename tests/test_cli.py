@@ -259,6 +259,17 @@ def test_gradcheck_small_fits_its_length_to_the_stage_factors(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS") == 25
 
 
+@pytest.mark.parametrize("kernel,factors", [(5, "1,2"), (1, "5,5")])
+def test_gradcheck_passes_at_the_edges_of_the_folded_projection(tmp_path, capsys, kernel, factors):
+    # the widest kernel folded with a stage-0 merge of factor 1, and the
+    # narrowest folded with one of factor 5
+    cfg = write_config(
+        tmp_path / "c.cfg", seq_len=100, proj_kernel=kernel, stage_factors=factors, stage_depths="1,1"
+    )
+    assert run_cli("gradcheck", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.count("PASS") == 25
+
+
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     real_gelu = mixers.gelu
 

@@ -233,6 +233,15 @@ def test_forward_matches_straight_line_oracle_on_a_short_record(rng):
     assert np.max(np.abs(got - expect)) < 1e-9
 
 
+@pytest.mark.parametrize("preset", [HierarchyPreset.H2, HierarchyPreset.H4])
+def test_forward_matches_the_oracle_on_a_short_record_under_the_h2_and_h4_presets(rng, preset):
+    # the stage-0 merge is folded into the projection; later merges are not
+    model = build_model(apply_preset(preset, replace(SMALL, seed=9)))
+    perturb_vectors(model, rng)
+    x = rng.standard_normal((37, 16))
+    assert np.max(np.abs(model.forward(x).value - ref_forward(model, x))) < 1e-9
+
+
 def perturb_vectors(model, rng):
     """Give biases and norm affines random values; at their initial zeros
     and ones the zero tail of a short record stays a constant-zero row."""

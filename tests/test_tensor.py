@@ -149,15 +149,22 @@ def test_fused_sublayers_reject_parameters_that_do_not_fit(node, shapes, i, bad)
         node(Tensor(np.zeros((8, 4))), *params, *residual)
 
 
+def identity_merge(c):
+    """A merge of factor 1 that passes its ``c`` channels through: the fold
+    with it is the projection alone."""
+    return Tensor(np.eye(c)[:, :, None]), Tensor(np.zeros(c))
+
+
 # (L, k, stride, padding) of the two dense convs on a whole input: the
-# projection (stride 1, same padding) and the merge (stride k, no padding)
+# projection (stride 1, same padding; followed by an identity merge) and the
+# merge (stride k, no padding)
 @pytest.mark.parametrize("L,k,stride,padding", [(3200, 3, 1, 1), (3200, 4, 4, 0), (16, 3, 1, 1), (16, 4, 4, 0)])
 def test_conv1d_merge_shape_and_values(rng, L, k, stride, padding):
     x = rng.standard_normal((L, 6))
     w = rng.standard_normal((5, 6, k))
     b = rng.standard_normal(5)
     if stride == 1:
-        out = conv1d([x], Tensor(w), Tensor(b)).value[0]
+        out = conv1d([x], Tensor(w), Tensor(b), merge=identity_merge(5)).value[0]
     else:
         out = conv1d(Tensor(x), Tensor(w), Tensor(b)).value
     assert out.shape == ((L + 2 * padding - k) // stride + 1, 5)
@@ -190,15 +197,21 @@ def test_conv1d_merge_rejects_uneven_frames_and_a_length():
         conv1d(Tensor(np.zeros((13, 2))), w, b)
     with pytest.raises(ShapeError, match="length"):
         conv1d(Tensor(np.zeros((12, 2))), w, b, length=12)
+    with pytest.raises(ShapeError, match="merge"):
+        conv1d(Tensor(np.zeros((12, 2))), w, b, merge=(w, b))
+
+
+MERGE_FACTORS = (1, 2, 4, 5)  # the stage-0 merge factors the folded projection is checked with
 
 
 def _projection_cases():
     """(L, k, stride, padding, rows): the projection's stride 1 and same
-    padding, given records of 1, L//2, L-1 and L rows of L frames, and
-    records of 3200 frames that span more than one cast block."""
-    for L in (2, 16):
+    padding, given records of 1, L//2, L-1 and L rows of L frames (and of
+    3 rows, fewer than a merge group of 4 or 5, at L = 20), and records of
+    3200 frames that span more than one cast block."""
+    for L in (2, 16, 20):
         for k in (1, 3, 5):
-            for rows in sorted({1, L // 2, L - 1, L}):
+            for rows in sorted({1, L // 2, L - 1, L} | ({3} if L == 20 else set())):
                 yield L, k, 1, k // 2, rows
     for k in (1, 3, 5):
         for rows in (129, 300, 1999):
@@ -218,52 +231,99 @@ def brute_projection_dw(records, g, k):
     return dw
 
 
+def brute_merge_dx(g, mw):
+    """The merge's input gradient: output row j of ``g`` (B, L/f, Cout) sends
+    ``g[j] @ M_m`` to input row f*j + m."""
+    f = mw.shape[2]
+    gy = np.zeros((g.shape[0], g.shape[1] * f, mw.shape[1]))
+    for m in range(f):
+        gy[:, m::f] = g @ mw[:, :, m]
+    return gy
+
+
+def brute_folded_grads(records, y, g, w, mw):
+    """The four gradients of the projection (``w``) followed by the merge
+    (``mw``), from the projection's brute-force outputs ``y`` (B, L, d) and
+    the upstream gradient ``g`` of the merge's output, each composed by hand."""
+    f = mw.shape[2]
+    gy = brute_merge_dx(g, mw)
+    dmw = np.stack([sum(g_b.T @ y_b[m::f] for g_b, y_b in zip(g, y)) for m in range(f)], axis=2)
+    return brute_projection_dw(records, gy, w.shape[2]), gy.sum(axis=(0, 1)), dmw, g.sum(axis=(0, 1))
+
+
+def assert_close(got, expect, rel=1e-12):
+    assert np.max(np.abs(got - expect)) <= rel * np.max(np.abs(expect))
+
+
 @pytest.mark.parametrize("L,k,stride,padding,rows", [(3200, 3, 1, 1, 3200), *_projection_cases()])
 def test_conv1d_length_matches_the_zero_extended_input(rng, L, k, stride, padding, rows):
+    """The folded projection and merge against a brute-force projection of
+    the zero-extended records followed by a brute-force merge, for every
+    merge factor that divides L: the output and all four gradients."""
     # a float64 record of ``rows`` rows and a float32 one of the rest, in one call
     records = [rng.standard_normal((rows, 6)), rng.standard_normal((L - rows + 1, 6)).astype(np.float32)]
     w = rng.standard_normal((5, 6, k))
     b = rng.standard_normal(5)
-    weight = Tensor(w)
-    out = conv1d(records, weight, Tensor(b), length=L)
-    assert out.value.shape == (2, L, 5)
-    for got, record in zip(out.value, records):
-        extended = np.concatenate([record, np.zeros((L - record.shape[0], 6))])
-        expect = brute_conv1d(extended, w, b, stride=stride, padding=padding)
-        assert np.max(np.abs(got - expect)) < 1e-12
-    g = rng.standard_normal((2, L, 5))
-    out.backward(g)
-    expect = brute_projection_dw(records, g, k)
-    assert np.max(np.abs(weight.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+    y = np.stack([
+        brute_conv1d(np.concatenate([r, np.zeros((L - r.shape[0], 6))]), w, b, stride=stride, padding=padding)
+        for r in records
+    ])
+    for f in (f for f in MERGE_FACTORS if L % f == 0):
+        mw, mb = rng.standard_normal((4, 5, f)), rng.standard_normal(4)
+        params = [Tensor(v) for v in (w, b, mw, mb)]
+        out = conv1d(records, *params[:2], length=L, merge=params[2:])
+        assert out.value.shape == (2, L // f, 4)
+        assert_close(out.value, np.stack([brute_conv1d(y_b, mw, mb, stride=f) for y_b in y]))
+        g = rng.standard_normal((2, L // f, 4))
+        out.backward(g)
+        for param, expect in zip(params, brute_folded_grads(records, y, g, w, mw)):
+            assert_close(param.grad, expect)
 
 
 def test_conv1d_projection_weight_gradient_at_the_paper_width(rng):
     L = 3200
     records = [rng.standard_normal((1999, 1024), dtype=np.float32)]
-    w = Tensor(rng.standard_normal((8, 1024, 3)))
-    g = rng.standard_normal((1, L, 8))
-    conv1d(records, w, Tensor(np.zeros(8)), length=L).backward(g)
-    expect = brute_projection_dw(records, g, 3)
-    assert np.max(np.abs(w.grad - expect)) <= 1e-12 * np.max(np.abs(expect))
+    w, b = rng.standard_normal((8, 1024, 3)), rng.standard_normal(8)
+    mw, mb = rng.standard_normal((8, 8, 4)), rng.standard_normal(8)
+    params = [Tensor(v) for v in (w, b, mw, mb)]
+    g = rng.standard_normal((1, L // 4, 8))
+    conv1d(records, *params[:2], length=L, merge=params[2:]).backward(g)
+    padded = np.zeros((L + 2, 1024))
+    padded[1:2000] = records[0]
+    y = sum(padded[t : t + L] @ w[:, :, t].T for t in range(3)) + b
+    for param, expect in zip(params, brute_folded_grads(records, y[None], g, w, mw)):
+        assert_close(param.grad, expect)
 
 
 def test_conv1d_length_shorter_than_the_rows_is_rejected():
     with pytest.raises(ShapeError, match="length 3"):
-        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(2)), length=3)
+        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(2)), length=3,
+               merge=identity_merge(2))
 
 
 def test_conv1d_projection_rejects_an_even_kernel():
     with pytest.raises(ShapeError, match="k odd"):
-        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
+        conv1d([np.zeros((4, 2))], Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), merge=identity_merge(2))
+
+
+def test_conv1d_projection_rejects_a_missing_or_unfitting_merge():
+    records, w, b = [np.zeros((4, 2))], Tensor(np.zeros((3, 2, 3))), Tensor(np.zeros(3))
+    with pytest.raises(ShapeError, match="takes the merge"):
+        conv1d(records, w, b)
+    with pytest.raises(ShapeError, match="does not follow 3"):
+        conv1d(records, w, b, merge=identity_merge(2))
+    with pytest.raises(ShapeError, match="multiple of the merge's 3"):
+        conv1d(records, w, b, merge=(Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(3))))
 
 
 def test_conv1d_dense_forward_makes_no_copy_of_the_input(rng):
     x = rng.standard_normal((3200, 1024), dtype=np.float32)
     w = Tensor(rng.standard_normal((8, 1024, 3)))
     b = Tensor(np.zeros(8))
+    merge = Tensor(rng.standard_normal((8, 8, 4))), Tensor(np.zeros(8))
     tracemalloc.start()
     try:
-        conv1d([x], w, b).backward()  # the weight gradient casts the record again
+        conv1d([x], w, b, merge=merge).backward()  # the weight gradient casts the record again
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -475,10 +535,11 @@ def test_grad_check_rejects_non_finite_loss():
         grad_check(lambda: Tensor([[np.inf]]), [theta])
 
 
-# (L, k) merges, (L, k, rows) projections of records of ``rows`` and L rows,
-# and (L, k) depthwise convs, L < k included, for the gradient checks
+# (L, k) merges, (L, k, rows, f) projections of records of ``rows`` and L rows
+# folded with a merge of factor f, and (L, k) depthwise convs, L < k
+# included, for the gradient checks
 MERGE_GRID = [(16, 4), (12, 3), (10, 2), (7, 7), (5, 1)]
-PROJECTION_GRID = [(16, 3, 8), (16, 5, 15), (9, 1, 4), (2, 5, 1)]
+PROJECTION_GRID = [(16, 3, 8, 4), (16, 5, 15, 2), (10, 1, 4, 5), (2, 5, 1, 1), (4, 3, 1, 4)]
 DEPTHWISE_GRID = [(1, 7), (2, 3), (6, 7), (7, 1)]
 
 
@@ -516,17 +577,18 @@ def _loss_builders(rng, rows):
             return sum_all(gelu(conv1d(matmul(lift, x), w, bias)))
 
         builders[f"merge_L{L}_k{k}"] = (merge, [w, bias])
-    for L, k, real in PROJECTION_GRID:
+    for L, k, real, f in PROJECTION_GRID:
         # records of its own: the projection takes no gradient with respect
         # to its input, and grad_check perturbs ``x`` in place
         records = [rng.standard_normal((real, 8)), rng.standard_normal((L, 8)).astype(np.float32)]
         w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
         bias = Tensor(rng.standard_normal(5))
+        merge = [Tensor(rng.standard_normal((4, 5, f)) / math.sqrt(5 * f)), Tensor(rng.standard_normal(4))]
 
-        def projection(x, records=records, w=w, bias=bias, L=L):
-            return sum_all(gelu(conv1d(records, w, bias, length=L)))
+        def projection(x, records=records, w=w, bias=bias, merge=merge, L=L):
+            return sum_all(gelu(conv1d(records, w, bias, length=L, merge=merge)))
 
-        builders[f"projection_L{L}_k{k}_rows{real}"] = (projection, [w, bias])
+        builders[f"projection_L{L}_k{k}_rows{real}_f{f}"] = (projection, [w, bias, *merge])
     for L, k in DEPTHWISE_GRID:
         lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows), requires_grad=False)
         w = Tensor(rng.standard_normal((8, 1, k)))

@@ -273,7 +273,9 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             if name == "conv1d":
-                convs.append((args[1].value.shape[2], isinstance(args[0], list)))
+                merge = kwargs.get("merge")
+                factor = merge[0].value.shape[2] if merge else None
+                convs.append((args[1].value.shape[2], isinstance(args[0], list), factor))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -287,10 +289,13 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
     ds = tiny_dataset(3, seed=4)
     training.train(model, ds, 1, 4, 0)
     samples, blocks, batches = len(ds), sum(TINY.stage_depths), 2
-    # (kernel width, input is a list): the projection over records first, then the merges
-    assert convs == [(TINY.proj_kernel, True), *((f, False) for f in TINY.stage_factors)] * batches
+    # (kernel width, input is a list, factor of the folded merge): the
+    # projection over records with the stage-0 merge first, then the merges
+    # of the later stages
+    first, *later = TINY.stage_factors
+    assert convs == [(TINY.proj_kernel, True, first), *((f, False, None) for f in later)] * batches
     assert calls == Counter(
-        conv1d=batches * (1 + len(TINY.stage_factors)),
+        conv1d=batches * len(TINY.stage_factors),
         token_mix=batches * blocks,
         channel_mix=batches * blocks,
         pad_or_truncate=samples,
@@ -303,7 +308,7 @@ def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     """Per-layer tracing of inference wraps ``data.load_embedding`` and
     ``model.conv1d``: evaluating a loaded dataset calls them there, reading
     each file once, just before its forward."""
-    files, weights = [], []
+    files, weights = [], []  # each conv's weight, and the folded merge's if it has one
     load_embedding, conv1d = data_module.load_embedding, model_module.conv1d
 
     def counting_load(path, *args, **kwargs):
@@ -312,6 +317,8 @@ def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
 
     def counting_conv(x, weight, *args, **kwargs):
         weights.append(weight)
+        if "merge" in kwargs:
+            weights.append(kwargs["merge"][0])
         return conv1d(x, weight, *args, **kwargs)
 
     monkeypatch.setattr(data_module, "load_embedding", counting_load)
@@ -324,7 +331,8 @@ def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     evaluate(model, loaded)
     assert files == [f"{r.id}.hafe" for r in ds.records]
     merges = [model.params[f"stage{s}.merge.weight"] for s in range(len(TINY.stage_factors))]
-    assert weights == [model.params["projection.weight"], *merges] * len(ds)  # projection first
+    # the projection first, carrying the stage-0 merge, then one merge per later stage
+    assert weights == [model.params["projection.weight"], *merges] * len(ds)
 
 
 def test_train_on_short_records_holds_no_padded_copy():
