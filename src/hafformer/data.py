@@ -24,7 +24,7 @@ EMBEDDING_MAGIC = b"HAFE"
 EMBEDDING_VERSION = 1
 EMBEDDING_DIM = 1024
 MANIFEST_NAME = "manifest.csv"
-FINITE_CHECK_VALUES = 1 << 16  # feature values per block of the load-time finiteness check
+FINITE_CHECK_VALUES = 1 << 16  # feature values read and checked as one block
 
 # synthetic-cue constants: class 1 adds difficulty * sin(2*pi*t/CUE_PERIOD + phase)
 # to CUE_CHANNELS. The subset is fixed (independent of the dataset seed) so
@@ -55,8 +55,9 @@ class EmbeddingRecord:
     ``source`` is the features array itself, or the ``.hafe`` file that holds
     them, with ``cols`` channels. ``features`` gives an array source back as
     it is, the very array given. A file source is read again on each access,
-    through ``load_embedding`` with every check it makes, and must still hold
-    this id; nothing of it stays in memory once the caller drops the array.
+    through ``load_embedding`` with every check it makes, into a new
+    read-only array, and must still hold this id; nothing of it stays in
+    memory once the caller drops the array.
     """
 
     id: str  # a plain file name: a dataset stores the record as <id>.hafe
@@ -78,7 +79,8 @@ class EmbeddingRecord:
         if not isinstance(self.source, Path):
             return self.source
         stored = load_embedding(self.source, self.cols)
-        _check_id(self.source, stored.id, self.id)
+        if stored.id != self.id:
+            raise CorruptionError(f"{self.source}: holds record id {stored.id!r}, the manifest lists {self.id!r}")
         return stored.features
 
 
@@ -171,43 +173,26 @@ def _read_header(fh, path, expected_cols: int) -> tuple[str, int, int]:
     return rec_id, rows, cols
 
 
-def _check_finite(values: np.ndarray, path) -> None:
-    if not np.isfinite(values).all():
-        raise CorruptionError(f"{path}: feature values include NaN or infinity")
-
-
-def _check_id(path, found: str, listed: str) -> None:
-    if found != listed:
-        raise CorruptionError(f"{path}: holds record id {found!r}, the manifest lists {listed!r}")
-
-
 def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
-    """Read one record; its features are a read-only float32 view of the bytes read.
+    """Read one record; its features are a new read-only float32 array.
 
-    A channel count other than ``expected_cols`` is a ``DimensionError``; a
-    NaN or infinite feature value is corruption.
+    The values are read straight into that array, ``FINITE_CHECK_VALUES`` at
+    a time, and each block is checked as it lands, so the check's mask stays
+    small. A channel count other than ``expected_cols`` is a
+    ``DimensionError``; a NaN or infinite feature value is corruption.
     """
     with open(path, "rb") as fh:
         rec_id, rows, cols = _read_header(fh, path, expected_cols)
-        raw = _read_exact(fh, 4 * rows * cols, path, "feature values")
-    values = np.frombuffer(raw, dtype="<f4")
-    for start in range(0, values.size, FINITE_CHECK_VALUES):  # the check's mask stays small
-        _check_finite(values[start : start + FINITE_CHECK_VALUES], path)
-    return EmbeddingRecord(rec_id, values.reshape(rows, cols))
-
-
-def _check_embedding(path, expected_cols: int) -> str:
-    """The id in ``path``, after every check of ``load_embedding``, made while
-    holding one block of ``FINITE_CHECK_VALUES`` values at a time."""
-    with open(path, "rb") as fh:
-        rec_id, rows, cols = _read_header(fh, path, expected_cols)
-        block = np.empty(min(FINITE_CHECK_VALUES, rows * cols), dtype="<f4")
-        for start in range(0, rows * cols, block.size):
-            values = block[: min(block.size, rows * cols - start)]
-            if fh.readinto(values) != values.nbytes:
+        values = np.empty(rows * cols, dtype="<f4")
+        for start in range(0, values.size, FINITE_CHECK_VALUES):
+            block = values[start : start + FINITE_CHECK_VALUES]
+            # a file that shrank after its header was read would leave the rest unset
+            if fh.readinto(block) != block.nbytes:
                 raise CorruptionError(f"{path}: truncated while reading feature values")
-            _check_finite(values, path)
-    return rec_id
+            if not np.isfinite(block).all():
+                raise CorruptionError(f"{path}: feature values include NaN or infinity")
+    values.flags.writeable = False
+    return EmbeddingRecord(rec_id, values.reshape(rows, cols))
 
 
 def save_manifest(path, dataset: Dataset) -> None:
@@ -260,10 +245,11 @@ def save_dataset(directory, dataset: Dataset) -> None:
 def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING_DIM) -> Dataset:
     """Check ``<id>.hafe`` for each id in the manifest; it must exist and hold that id.
 
-    Each file gets every check of ``load_embedding`` here, one block at a
-    time, so a bad file fails before any record is used. The records hold
-    only their file's path and read it again whenever their features are
-    read (see ``EmbeddingRecord``).
+    Each record's features are read here once, through ``load_embedding``
+    with every check it makes, and dropped before the next file, so a bad
+    file fails before any record is used while loading holds one record at
+    a time. The records hold only their file's path and read it again
+    whenever their features are read (see ``EmbeddingRecord``).
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
@@ -274,13 +260,12 @@ def load_dataset(directory, split: str = "train", expected_cols: int = EMBEDDING
         raise FormatError(f"{manifest}: lists no records")
     records = []
     for rec_id, label in labels.items():
-        path = directory / f"{rec_id}.hafe"
+        record = EmbeddingRecord(rec_id, directory / f"{rec_id}.hafe", label, expected_cols)
         try:
-            stored_id = _check_embedding(path, expected_cols)
+            record.features  # every check, made by the read that train and evaluate make
         except FileNotFoundError:
-            raise FormatError(f"{manifest}: lists {rec_id!r}, but {path} does not exist") from None
-        _check_id(path, stored_id, rec_id)
-        records.append(EmbeddingRecord(rec_id, path, label, expected_cols))
+            raise FormatError(f"{manifest}: lists {rec_id!r}, but {record.source} does not exist") from None
+        records.append(record)
     return Dataset(tuple(records), split)
 
 

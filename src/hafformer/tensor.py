@@ -13,8 +13,9 @@ order, parents in declaration order, so gradient accumulation is
 bit-deterministic, and it frees each interior node as soon as its closures
 have run. No primitive mutates its inputs. The projection with the merge
 after it, and the MSDW and GEGLU sublayers, are fused nodes whose closures
-share one backward and which keep only what it reads; the formulas they share with the primitives (layer norm, GELU, the
-depthwise taps) are array helpers that both call.
+share one backward and which keep only what it reads; the formulas they
+share with the primitives (layer norm, GELU, the depthwise taps) are array
+helpers that both call.
 """
 
 from __future__ import annotations
@@ -363,9 +364,9 @@ def mean_pool_time(x: Tensor) -> Tensor:
 # temporal convolution
 
 
-def _tap_slices(L: int, lout: int, k: int):
-    """Per tap ``t`` of a same-padded kernel of odd width ``k``, the output
-    rows and input rows it pairs, skipping padding.
+def _tap_slices(L: int, k: int):
+    """Per tap ``t`` of a same-padded kernel of odd width ``k`` over ``L``
+    frames, the output rows and input rows it pairs, skipping padding.
 
     Output row ``i`` reads input row ``i + t - k // 2``; the pairs whose input
     row lies inside ``[0, L)`` are ``out[i_lo:i_hi]`` and ``inp[r_lo:r_hi]``.
@@ -374,7 +375,7 @@ def _tap_slices(L: int, lout: int, k: int):
     p = k // 2
     taps = []
     for t in range(k):
-        i_lo, i_hi = max(0, p - t), min(lout, L + p - t)
+        i_lo, i_hi = max(0, p - t), min(L, L + p - t)
         if i_hi > i_lo:
             taps.append((t, slice(i_lo, i_hi), slice(i_lo + t - p, i_hi + t - p)))
     return taps
@@ -419,7 +420,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     xv, w = x.value, weight.value
     L, C = xv.shape[-2:]
     _check_depthwise("depthwise_conv1d", w, C)
-    taps = _tap_slices(L, L, w.shape[2])
+    taps = _tap_slices(L, w.shape[2])
     return Tensor(
         _depthwise(xv, w, taps),
         (x, weight),
@@ -646,7 +647,7 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
     c = w7.value.shape[2] // 2
     kernel = w7.value.copy()
     kernel[:, :, c] += w1.value[:, :, 0]
-    taps = _tap_slices(L, L, kernel.shape[2])
+    taps = _tap_slices(L, kernel.shape[2])
     xhat, ivar = _ln_stats(xv)
     a = _depthwise(xhat * gv + bv, kernel, taps)
     t = _gelu_tanh(a)

@@ -34,8 +34,8 @@ class OptimizerState:
     weight decay.
     """
 
-    lr: float = 2e-3
-    weight_decay: float = 1e-5
+    lr: float
+    weight_decay: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

@@ -1,13 +1,17 @@
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hafformer import data as data_module
 from hafformer.data import (
     BAND_ENERGY_THRESHOLD,
     CUE_CHANNELS,
+    FINITE_CHECK_VALUES,
     Dataset,
     EmbeddingRecord,
     band_energy_score,
@@ -119,6 +123,18 @@ def test_load_rejects_an_id_that_is_not_a_utf8_file_name(tmp_path, raw_id, messa
         load_embedding(path, expected_cols=4)
 
 
+def test_a_file_that_shrinks_after_its_header_is_read_is_corruption(tmp_path, monkeypatch):
+    path = tmp_path / "rec.hafe"
+    save_embedding(path, EmbeddingRecord("rec", np.ones((2, 4), dtype=np.float32)))
+    path.write_bytes(path.read_bytes()[:-4])
+    # the header's size check sees the size that was written, the read finds one value less
+    fstat = os.fstat
+    written = SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    monkeypatch.setattr(data_module, "os", written)
+    with pytest.raises(CorruptionError, match=r"rec\.hafe: truncated while reading feature values"):
+        load_embedding(path, expected_cols=4)
+
+
 def test_load_rejects_a_row_count_beyond_the_file(tmp_path):
     path = tmp_path / "huge.hafe"
     save_embedding(path, EmbeddingRecord("x", np.zeros((2, 1024), dtype=np.float32)))
@@ -144,6 +160,57 @@ def test_loading_a_dataset_allocates_about_its_payload(tmp_path, rng):
         tracemalloc.stop()
     assert peak <= 1.1 * payload  # a float64 copy of each record would be 2x on its own
     assert all(r.features.dtype == np.float32 for r in loaded.records)
+
+
+def test_loading_a_dataset_holds_one_record_at_a_time(tmp_path, rng):
+    """``load_dataset`` reads every record, but drops each before the next:
+    three times the files must not raise the peak by a record."""
+    record_bytes = 256 * 1024 * 4
+
+    def peak(n: int) -> int:
+        directory = tmp_path / str(n)
+        records = tuple(
+            EmbeddingRecord(f"r{i}", rng.standard_normal((256, 1024), dtype=np.float32), i % 2)
+            for i in range(n)
+        )
+        save_dataset(directory, Dataset(records, "test"))
+        del records
+        tracemalloc.start()
+        try:
+            load_dataset(directory, "test")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) < peak(4) + record_bytes
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65])  # 64 rows of 1024 channels are one block
+@pytest.mark.parametrize("at", ["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_every_block_of_values_is_read_and_checked(tmp_path, rng, rows, at, value):
+    """Both ends of the payload are read and checked, whether the last block
+    is partial, whole, or one row long; clean values round-trip bit-exactly
+    into a read-only array."""
+    assert 64 * 1024 == FINITE_CHECK_VALUES
+    features = rng.standard_normal((rows, 1024), dtype=np.float32)
+    clean, bad = tmp_path / "clean", tmp_path / "bad"
+    save_dataset(clean, Dataset((EmbeddingRecord("rec", features, 0),)))
+    loaded = load_embedding(clean / "rec.hafe").features
+    assert loaded.tobytes() == features.tobytes()
+    assert not loaded.flags.writeable
+    (record,) = load_dataset(clean).records
+    assert record.features.tobytes() == features.tobytes()
+    assert not record.features.flags.writeable
+
+    features.reshape(-1)[0 if at == "first" else -1] = value
+    save_dataset(bad, Dataset((EmbeddingRecord("rec", features, 0),)))
+    with pytest.raises(CorruptionError) as direct:
+        load_embedding(bad / "rec.hafe")
+    assert str(direct.value).endswith("rec.hafe: feature values include NaN or infinity")
+    with pytest.raises(CorruptionError) as via_dataset:
+        load_dataset(bad)
+    assert str(via_dataset.value) == str(direct.value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -206,8 +273,8 @@ def test_a_damaged_file_raises_only_documented_errors(tmp_path_factory, write, l
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_load_dataset_rejects_what_load_embedding_rejects(tmp_path_factory, data):
-    """The checking pass of ``load_dataset`` agrees with ``load_embedding``, error
-    for error; a file it accepts reads back as ``load_embedding`` reads it."""
+    """``load_dataset`` rejects a file as ``load_embedding`` does, error for
+    error; a file it accepts reads back as ``load_embedding`` reads it."""
     directory = tmp_path_factory.mktemp("checked")
     path = directory / "rec.hafe"
     write_small_embedding(path)

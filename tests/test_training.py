@@ -306,13 +306,14 @@ def test_train_reaches_every_patchable_seam(monkeypatch):
 
 def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     """Per-layer tracing of inference wraps ``data.load_embedding`` and
-    ``model.conv1d``: evaluating a loaded dataset calls them there, reading
-    each file once, just before its forward."""
+    ``model.conv1d``: loading a dataset reads each file once, in manifest
+    order, and evaluating it calls them there, reading each file once more,
+    just before its forward."""
     files, weights = [], []  # each conv's weight, and the folded merge's if it has one
     load_embedding, conv1d = data_module.load_embedding, model_module.conv1d
 
     def counting_load(path, *args, **kwargs):
-        files.append(path.name)
+        files.append((path.name, len(weights)))  # and how many convs ran before it
         return load_embedding(path, *args, **kwargs)
 
     def counting_conv(x, weight, *args, **kwargs):
@@ -326,10 +327,13 @@ def test_inference_reaches_every_patchable_seam(monkeypatch, tmp_path):
     ds = tiny_dataset(2, seed=5, split="test")
     save_dataset(tmp_path, ds)
     loaded = load_dataset(tmp_path, "test", expected_cols=TINY.input_dim)
-    assert files == []  # loading checks the files but holds none of them
+    names = [f"{r.id}.hafe" for r in ds.records]
+    assert files == [(name, 0) for name in names]
+    files.clear()
     model = build_model(TINY)
     evaluate(model, loaded)
-    assert files == [f"{r.id}.hafe" for r in ds.records]
+    convs = len(TINY.stage_factors) + 1  # per forward: the projection's weight and each merge's
+    assert files == [(name, i * convs) for i, name in enumerate(names)]
     merges = [model.params[f"stage{s}.merge.weight"] for s in range(len(TINY.stage_factors))]
     # the projection first, carrying the stage-0 merge, then one merge per later stage
     assert weights == [model.params["projection.weight"], *merges] * len(ds)
