@@ -260,8 +260,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _load_run_config(args)
-    dataset = _load_split(run, "train", args.data)
     model = build_model(run.model)
+    dataset = _load_split(run, "train", args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = training.train(

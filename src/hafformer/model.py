@@ -144,13 +144,42 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _check_array_sizes(cfg: ModelConfig) -> None:
+    """Raise ``ConfigError`` if an array the model of ``cfg`` would allocate
+    is larger than numpy allows (``np.iinfo(np.intp).max`` bytes).
+
+    The arrays are every parameter and, at each stage, one record's
+    activations: frames by the widest channel count of a block, and frames
+    by frames for self-attention's scores. Sizes are Python ints, so none
+    wraps. A config that fails this is still valid, and ``count_costs``
+    still counts it; only building or loading its model is refused.
+    """
+    limit = np.iinfo(np.intp).max
+    block = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
+    width = max(n for shape in block.values() for n in shape[:2])  # axes 0 and 1 are channel counts
+    arrays = param_shapes(cfg)
+    frames = cfg.seq_len
+    for s, factor in enumerate(cfg.stage_factors):
+        frames //= factor
+        arrays[f"stage{s} activations"] = (frames, width)
+        if cfg.token_mixer == TokenMixerKind.SELF_ATTENTION:
+            arrays[f"stage{s} attention scores"] = (frames, frames)
+    for name, shape in arrays.items():
+        size = math.prod(shape) * np.dtype(np.float64).itemsize
+        if size > limit:
+            raise ConfigError(f"{name} {shape} would take {size} bytes, more than numpy's limit of {limit}")
+
+
 def build_model(cfg: ModelConfig) -> "Model":
     """Allocate and initialize all float64 parameters for ``cfg``.
 
     Weights are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)] drawn from a
     counter-based Philox stream keyed by ``cfg.seed`` in declaration order;
     biases start at zero and norm affines at (1, 0), consuming no draws.
+    A config asking for an array numpy cannot allocate is a ``ConfigError``
+    before anything is allocated.
     """
+    _check_array_sizes(cfg)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     store = ParameterStore()
     for name, shape in param_shapes(cfg).items():
@@ -293,7 +322,8 @@ def load_checkpoint(path) -> Model:
     The file's parameter names and shapes must be those that its config
     declares (``param_shapes``), checked before anything is allocated for
     the model; each parameter then gets its own writable float64 copy of
-    the bytes read, which must be finite.
+    the bytes read, which must be finite. A config whose activations numpy
+    cannot allocate is a ``ConfigError``.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -337,4 +367,5 @@ def load_checkpoint(path) -> Model:
         if not np.isfinite(value).all():
             raise CorruptionError(f"{path}: parameter {name} values include NaN or infinity")
         store[name] = Tensor(value)
+    _check_array_sizes(cfg)  # the parameters fit, as the file held them; the activations may not
     return Model(cfg, store)

@@ -40,14 +40,15 @@ class Tensor:
     """One node of the computation graph.
 
     Leaves (``parents == ()``) are parameters or data; interior nodes hold
-    the values produced by a primitive plus the closures that map an
-    upstream gradient to each parent's gradient. A leaf's ``grad``
-    accumulates across backward calls until it is reset to None.
+    the values produced by a primitive plus one closure per parent, which
+    ``backward`` always calls, mapping an upstream gradient to that
+    parent's. A leaf's ``grad`` accumulates across backward calls until it
+    is reset to None.
     """
 
-    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "vjps")
 
-    def __init__(self, value, parents=(), vjps=(), requires_grad=None):
+    def __init__(self, value, parents=(), vjps=()):
         arr = np.asarray(value)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
@@ -55,15 +56,6 @@ class Tensor:
         self.grad = None
         self.parents = tuple(parents)
         self.vjps = tuple(vjps)
-        if requires_grad is None:
-            requires_grad = True if not self.parents else any(
-                p.requires_grad for p in self.parents
-            )
-        self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf, consuming the graph.
@@ -75,8 +67,6 @@ class Tensor:
         ``vjps`` and ``parents``, so the activations its closures saved are
         freed while the walk goes on; a graph can be walked once.
         """
-        if not self.requires_grad:
-            return
         if seed is None:
             seed = np.ones_like(self.value)
         else:
@@ -96,8 +86,6 @@ class Tensor:
                 continue
             g = node.grad
             for parent, vjp in zip(node.parents, node.vjps):
-                if not parent.requires_grad:
-                    continue
                 contrib = vjp(g)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
             node.grad = None
@@ -116,7 +104,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         node, it = stack[-1]
         pushed = False
         for parent in it:
-            if id(parent) not in seen and parent.requires_grad:
+            if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append((parent, iter(parent.parents)))
                 pushed = True
@@ -617,7 +605,7 @@ def conv1d(
 def _joint_vjps(grads: Callable[[np.ndarray], tuple], n: int) -> tuple:
     """``n`` VJP closures over one backward: the first to run for an upstream
     gradient ``g`` calls ``grads(g)`` for all ``n`` parent gradients, and each
-    closure hands out its own, whichever parents need a gradient."""
+    closure then hands out its own, dropping its reference to it."""
     held: list = [None, ()]  # the last upstream gradient and the gradients it gave
 
     def take(i, g):

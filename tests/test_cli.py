@@ -388,6 +388,27 @@ def test_train_with_three_classes_exits_2_before_creating_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "lines,array",
+    [
+        ("proj_kernel = 9223372036854775809", "projection.weight"),
+        ("head_hidden = 9223372036854775807", "head.fc1.weight"),
+        ("d_model = 4611686018427387904", "projection.weight"),
+        ("seq_len = 1180591620717411303424\nstage_factors = 1\nstage_depths = 1", "stage0 activations"),
+        ("head_hidden = 9223372036854775807\ndata_mode = files", "head.fc1.weight"),  # before any data
+    ],
+    ids=["proj_kernel", "head_hidden", "d_model", "seq_len", "files-mode"],
+)
+def test_a_config_asking_for_an_array_numpy_refuses_exits_2_before_creating_out(tmp_path, capsys, lines, array):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{lines}\ntrain_per_class = 1\ntest_per_class = 1\nepochs = 1\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {array} (") and "more than numpy's limit" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "manifest", ["r1,0\nr2,1\nr1,1\n", "r1,0\nr2,2\n", "r1,0\nr2,\n"], ids=["repeated-id", "label-2", "no-label"]
 )
 def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):

@@ -270,7 +270,7 @@ def test_zero_parameter_block_is_exact_identity(tk, ck, rng):
 def test_shape_preservation_all_combos(frames, seed):
     rng = np.random.default_rng(seed)
     d = 8
-    x = Tensor(rng.standard_normal((frames, d)), requires_grad=False)
+    x = Tensor(rng.standard_normal((frames, d)))
     import warnings as w
 
     for tk, ck in ALL_MIXER_COMBOS:
@@ -283,7 +283,7 @@ def test_shape_preservation_all_combos(frames, seed):
 
 def test_short_sequence_warning(rng):
     bp = random_block_params(TokenMixerKind.MSDW, ChannelMixerKind.IDENTITY, 8, rng)
-    x = Tensor(rng.standard_normal((4, 8)), requires_grad=False)
+    x = Tensor(rng.standard_normal((4, 8)))
     with pytest.warns(RuntimeWarning, match="depthwise kernel"):
         afformer_block(TokenMixerKind.MSDW, ChannelMixerKind.IDENTITY, bp, x)
 
@@ -338,7 +338,7 @@ def test_random_block_params_draw_order_is_pinned(tk, ck, total):
     """The harness's random blocks draw the token bundle, the channel bundle,
     then the token and channel norm affines; tests seeded by them rely on it."""
     params = random_block_params(tk, ck, 8, np.random.default_rng(0))
-    x = Tensor(np.sin(np.arange(128.0)).reshape(16, 8), requires_grad=False)
+    x = Tensor(np.sin(np.arange(128.0)).reshape(16, 8))
     assert afformer_block(tk, ck, params, x).value.sum() == pytest.approx(total, rel=1e-12, abs=0)
 
 

@@ -68,6 +68,8 @@ def test_config_validation_names_the_field(field, value):
         replace(ModelConfig(), **{field: value})
 
 
+
+
 # ---------------------------------------------------------------------------
 # building
 
@@ -472,6 +474,27 @@ def test_checkpoint_whose_config_asks_for_other_shapes_is_rejected_before_alloca
     cfg_json = json.dumps(payload).encode("utf-8")
     path.write_bytes(head + len(cfg_json).to_bytes(4, "little") + cfg_json + params)
     with pytest.raises(FormatError, match=f"has shape .* expected .*{value}"):
+        load_checkpoint(path)
+
+
+def test_build_counts_the_attention_scores_against_numpy_size_limit():
+    """Self-attention's (frames, frames) scores are checked, not only the
+    (frames, channels) activations every mixer keeps."""
+    cfg = replace(SMALL, seq_len=2**30, stage_factors=(1,), stage_depths=(1,))
+    build_model(cfg)  # 2**30 frames of 16 channels fit
+    with pytest.raises(ConfigError, match=r"stage0 attention scores \(1073741824, 1073741824\)"):
+        build_model(replace(cfg, token_mixer=TokenMixerKind.SELF_ATTENTION))
+
+
+def test_checkpoint_whose_activations_numpy_refuses_is_a_config_error(tmp_path):
+    """The parameters fit, as the file holds them, but a record's frames at a
+    stage do not: seq_len changes no parameter shape."""
+    path = tmp_path / "model.hafc"
+    save_checkpoint(build_model(replace(SMALL, stage_factors=(1,), stage_depths=(1,))), path)
+    head, cfg_json, params = split_config_block(path.read_bytes())
+    cfg_json = json.dumps({**json.loads(cfg_json), "seq_len": 2**70}).encode("utf-8")
+    path.write_bytes(head + len(cfg_json).to_bytes(4, "little") + cfg_json + params)
+    with pytest.raises(ConfigError, match=r"stage0 activations \(1180591620717411303424, 16\)"):
         load_checkpoint(path)
 
 

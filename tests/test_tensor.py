@@ -498,7 +498,7 @@ def test_grad_check_linear_closed_form(rng):
     theta = Tensor(rng.standard_normal((2, 4)))
 
     def f():
-        return sum_all(matmul(theta, Tensor(b, requires_grad=False)))
+        return sum_all(matmul(theta, Tensor(b)))
 
     err = grad_check(f, [theta])
     assert err < 1e-8
@@ -517,7 +517,7 @@ def test_grad_check_msdw_geglu_block(rng):
     bp = mixers.random_block_params(
         mixers.TokenMixerKind.MSDW, mixers.ChannelMixerKind.GEGLU, 8, rng
     )
-    x = Tensor(rng.standard_normal((16, 8)), requires_grad=False)
+    x = Tensor(rng.standard_normal((16, 8)))
 
     def f():
         return sum_all(
@@ -551,7 +551,7 @@ def _loss_builders(rng, rows):
     w_dw = Tensor(rng.standard_normal((8, 1, 7)))
     m = Tensor(rng.standard_normal((8, 8)))
     bias8 = Tensor(rng.standard_normal(8))
-    head = Tensor(rng.standard_normal((8, 2)), requires_grad=False)
+    head = Tensor(rng.standard_normal((8, 2)))
     builders = {
         "matmul": lambda x: sum_all(gelu(matmul(x, m))),
         "conv_depthwise": lambda x: sum_all(depthwise_conv1d(x, w_dw)),
@@ -569,7 +569,7 @@ def _loss_builders(rng, rows):
     # a fixed linear map lifts the input to L frames (B sequences of them for
     # a 3-D lift); gelu makes the upstream gradient differ per output entry
     for L, k in MERGE_GRID:
-        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows), requires_grad=False)
+        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows))
         w = Tensor(rng.standard_normal((5, 8, k)) / math.sqrt(8 * k))
         bias = Tensor(rng.standard_normal(5))
 
@@ -590,7 +590,7 @@ def _loss_builders(rng, rows):
 
         builders[f"projection_L{L}_k{k}_rows{real}_f{f}"] = (projection, [w, bias, *merge])
     for L, k in DEPTHWISE_GRID:
-        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows), requires_grad=False)
+        lift = Tensor(rng.standard_normal((2, L, rows)) / math.sqrt(rows))
         w = Tensor(rng.standard_normal((8, 1, k)))
 
         def depthwise(x, lift=lift, w=w):
@@ -624,7 +624,7 @@ def test_primitive_gradients_match_finite_differences(seed, rows):
 
 
 def test_parameter_gradients_of_conv_and_norm(rng):
-    x = Tensor(rng.standard_normal((12, 8)), requires_grad=False)
+    x = Tensor(rng.standard_normal((12, 8)))
     gamma = Tensor(1.0 + 0.1 * rng.standard_normal(8))
     beta = Tensor(0.1 * rng.standard_normal(8))
     w = Tensor(rng.standard_normal((8, 8, 3)))
@@ -641,7 +641,7 @@ def test_backward_accumulates_across_samples(rng):
     xs = [rng.standard_normal((3, 3)) for _ in range(2)]
 
     def loss_on(x):
-        return sum_all(matmul(Tensor(x, requires_grad=False), theta))
+        return sum_all(matmul(Tensor(x), theta))
 
     theta.grad = None
     for x in xs:
@@ -655,12 +655,3 @@ def test_backward_accumulates_across_samples(rng):
     loss_on(xs[1]).backward()
     second = theta.grad.copy()
     assert combined == pytest.approx(0.5 * first + 0.5 * second, abs=1e-12)
-
-
-def test_backward_skips_no_grad_inputs(rng):
-    x = Tensor(rng.standard_normal((4, 4)), requires_grad=False)
-    w = Tensor(rng.standard_normal((4, 4)))
-    loss = sum_all(matmul(x, w))
-    loss.backward()
-    assert x.grad is None
-    assert w.grad is not None
