@@ -13,9 +13,11 @@ order, parents in declaration order, so gradient accumulation is
 bit-deterministic, and it frees each interior node as soon as its closures
 have run. No primitive mutates its inputs. The projection with the merge
 after it, and the MSDW and GEGLU sublayers, are fused nodes whose closures
-share one backward and which keep only what it reads; the formulas they
-share with the primitives (layer norm, GELU, the depthwise taps) are array
-helpers that both call.
+share one backward; the formulas they share with the primitives (layer
+norm, GELU, the depthwise taps) are array helpers that both call. A node
+keeps only what its backward cannot cheaply rebuild: every layer norm keeps
+each row's mean and 1/σ and rebuilds x̂ from its input's value, which the
+graph holds anyway.
 """
 
 from __future__ import annotations
@@ -199,9 +201,22 @@ def _gelu_tanh(v: np.ndarray) -> np.ndarray:
 
 
 def _gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d GELU(v) / dv, given ``t = _gelu_tanh(v)``."""
-    du = GELU_TANH_C0 * (1.0 + 3.0 * GELU_TANH_C1 * v * v)
-    return 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
+    """d GELU(v) / dv, given ``t = _gelu_tanh(v)``: 0.5*(1 + t) + 0.5*v*(1 - t*t)*du
+    with du = c0*(1 + 3*c1*v*v), each product and sum in that order, run in
+    place in three temporaries."""
+    du = v * (3.0 * GELU_TANH_C1)
+    du *= v
+    du += 1.0
+    du *= GELU_TANH_C0
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    term = v * 0.5
+    term *= out
+    term *= du
+    np.add(1.0, t, out=out)
+    out *= 0.5
+    out += term
+    return out
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -215,22 +230,47 @@ def gelu(x: Tensor) -> Tensor:
 # normalization / attention helpers
 
 
-def _ln_stats(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row standardization across channels: x̂ and each row's 1/σ.
+def _ln_stats(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row standardization across channels: x̂, each row's mean μ and 1/σ.
 
     Two-pass: each row is centred once and the variance is the mean square
     of the centred row, which x̂ reuses. E[x^2] - mean^2 would lose every
-    digit on rows far from zero.
+    digit on rows far from zero. A node keeps μ and 1/σ, not x̂: its
+    backward rebuilds x̂ with ``_ln_xhat`` from the input it already holds.
     """
-    xc = v - _row_mean(v)
+    mu = _row_mean(v)
+    xc = v - mu
     ivar = 1.0 / np.sqrt(_row_mean(xc * xc) + LN_EPS)
-    return xc * ivar, ivar
+    return xc * ivar, mu, ivar
+
+
+def _ln_xhat(v: np.ndarray, mu: np.ndarray, ivar: np.ndarray) -> np.ndarray:
+    """x̂ = (v - μ)·(1/σ), bit for bit the x̂ of ``_ln_stats``."""
+    return (v - mu) * ivar
 
 
 def _ln_dx(gg: np.ndarray, xhat: np.ndarray, ivar: np.ndarray) -> np.ndarray:
     """dX of a layer norm from ``gg``, the upstream gradient times gamma:
     d x̂ -> d x with the mean and variance coupling folded in."""
     return ivar * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat))
+
+
+def _tiled(c: np.ndarray, rows: int) -> np.ndarray:
+    """``c`` (..., C) repeated over ``rows`` rows, as a contiguous (..., rows, C).
+
+    A per-channel operand: numpy multiplies (8, 800, 8) by (8,) at about half
+    the rate it multiplies it by the same vector tiled to (800, 8), and the
+    products are the same bits.
+    """
+    return np.repeat(c[..., None, :], rows, axis=-2)
+
+
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """z = x̂·γ + β, with γ and β tiled over the rows of ``xhat``."""
+    L = xhat.shape[-2]
+    z = xhat * _tiled(gamma, L)
+    z += _tiled(beta, L)
+    return z
 
 
 def _check_affine(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
@@ -244,15 +284,22 @@ def _check_affine(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-row standardization across channels, then affine gamma/beta."""
+    """Per-row standardization across channels, then affine gamma/beta.
+
+    The node keeps each row's μ and 1/σ; its backward rebuilds x̂ from the
+    value of ``x``.
+    """
     _check_affine("layer_norm", x, gamma, beta)
-    xhat, ivar = _ln_stats(x.value)
+    xv = x.value
+    xhat, mu, ivar = _ln_stats(xv)
     out = xhat * gamma.value + beta.value
 
-    def dx(g):
-        return _ln_dx(g * gamma.value, xhat, ivar)
+    def grads(g):
+        xhat = _ln_xhat(xv, mu, ivar)
+        dgamma = _col_sum(g * xhat)
+        return _ln_dx(g * gamma.value, xhat, ivar), dgamma, _col_sum(g)
 
-    return Tensor(out, (x, gamma, beta), (dx, lambda g: _col_sum(g * xhat), _col_sum))
+    return Tensor(out, (x, gamma, beta), _joint_vjps(grads, 3))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -370,17 +417,20 @@ def _tap_slices(L: int, k: int):
 
 
 def _depthwise(v: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
-    """Depthwise correlation of ``v`` (..., L, C) with ``w`` (C, 1, k) over ``taps``."""
+    """Depthwise correlation of ``v`` (..., L, C) with ``w`` (C, 1, k) over
+    ``taps``, each tap tiled over the L rows once (``_tiled``)."""
+    wt = _tiled(w[:, 0, :].T, v.shape[-2])
     y = np.zeros(v.shape, dtype=v.dtype)
     for t, out_rows, in_rows in taps:
-        y[..., out_rows, :] += v[..., in_rows, :] * w[:, 0, t]
+        y[..., out_rows, :] += v[..., in_rows, :] * wt[t, in_rows]
     return y
 
 
 def _depthwise_dx(g: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
+    wt = _tiled(w[:, 0, :].T, g.shape[-2])
     gx = np.zeros_like(g)
     for t, out_rows, in_rows in taps:
-        gx[..., in_rows, :] += g[..., out_rows, :] * w[:, 0, t]
+        gx[..., in_rows, :] += g[..., out_rows, :] * wt[t, out_rows]
     return gx
 
 
@@ -623,8 +673,9 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
     The conv is same-padded along the frame axis with ``w7`` (C, 1, k), k odd,
     plus the one-tap kernel ``w1`` (C, 1, 1) at its centre tap: the k=1 branch
     reads the same rows as the centre tap, so the two branches are one conv.
-    The node keeps x̂, each row's 1/σ, the pre-activation a = depthwise(z)
-    and the GELU's tanh of a; its backward recomputes z = x̂·γ + β.
+    The node keeps each row's μ and 1/σ, the pre-activation a = depthwise(z)
+    and the GELU's tanh of a, which a transcendental or the conv made; its
+    backward rebuilds x̂ from the value of ``x`` and z = x̂·γ + β from x̂.
     """
     _check_affine("msdw_sublayer", x, gamma, beta)
     xv, gv, bv = x.value, gamma.value, beta.value
@@ -636,17 +687,22 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
     kernel = w7.value.copy()
     kernel[:, :, c] += w1.value[:, :, 0]
     taps = _tap_slices(L, kernel.shape[2])
-    xhat, ivar = _ln_stats(xv)
-    a = _depthwise(xhat * gv + bv, kernel, taps)
+    xhat, mu, ivar = _ln_stats(xv)
+    a = _depthwise(_affine(xhat, gv, bv), kernel, taps)
+    del xhat
     t = _gelu_tanh(a)
     out = 0.5 * a * (1.0 + t) + xv
 
     def grads(g):
         da = g * _gelu_slope(a, t)
-        dk = _depthwise_dw(da, xhat * gv + bv, kernel, taps)
+        xhat = _ln_xhat(xv, mu, ivar)
+        dk = _depthwise_dw(da, _affine(xhat, gv, bv), kernel, taps)
         dz = _depthwise_dx(da, kernel, taps)
-        dx = _ln_dx(dz * gv, xhat, ivar) + g
-        return dx, _col_sum(dz * xhat), _col_sum(dz), dk, dk[:, :, c : c + 1].copy()
+        del da
+        dgamma, dbeta = _col_sum(dz * xhat), _col_sum(dz)
+        dz *= _tiled(gv, L)
+        dx = _ln_dx(dz, xhat, ivar) + g
+        return dx, dgamma, dbeta, dk, dk[:, :, c : c + 1].copy()
 
     return Tensor(out, (x, gamma, beta, w7, w1), _joint_vjps(grads, 5))
 
@@ -666,26 +722,32 @@ def geglu_sublayer(
     """The GEGLU channel sublayer as one node: with z = LN(x),
     (GELU(z·w1 + b1) ⊙ (z·w2 + b2))·w3 + b3, plus x if ``residual``.
 
-    ``w1`` and ``w2`` are (C, H), ``w3`` is (H, C). The node keeps x̂, each
-    row's 1/σ, the pre-activations u1 = z·w1 + b1 and u2 = z·w2 + b2 and the
-    GELU's tanh of u1; its backward recomputes z and the gated product from
-    them. Each projection is its own GEMM: on OpenBLAS 0.3.31 (one thread,
-    x86-64) a (6400, 8) x (8, 32) product took about 140 us against 30 us for
-    an (8, 16) one, and its halves would be strided views, slower for every
-    elementwise op after them.
+    ``w1`` and ``w2`` are (C, H), ``w3`` is (H, C). The node keeps each row's
+    μ and 1/σ and the GELU's tanh of u1 = z·w1 + b1; its backward rebuilds x̂
+    from the value of ``x``, then z, u1 and u2 = z·w2 + b2 with the forward's
+    own two GEMMs, and the gated product from them. Each projection is its
+    own GEMM: on OpenBLAS 0.3.31 (one thread, x86-64) a (6400, 8) x (8, 32)
+    product took about 140 us against 30 us for an (8, 16) one, and its
+    halves would be strided views, slower for every elementwise op after
+    them.
     """
     _check_affine("geglu_sublayer", x, gamma, beta)
     xv, gv, bv = x.value, gamma.value, beta.value
-    C = xv.shape[-1]
+    L, C = xv.shape[-2:]
     H = w1.value.shape[-1]
     shapes = [t.value.shape for t in (w1, b1, w2, b2, w3, b3)]
     if shapes != [(C, H), (H,), (C, H), (H,), (H, C), (C,)]:
         raise ShapeError(f"geglu_sublayer: weights {shapes} do not fit {C} channels")
     w1v, w2v, w3v = w1.value, w2.value, w3.value
-    xhat, ivar = _ln_stats(xv)
-    z2 = _rows(xhat * gv + bv)
-    u1 = z2 @ w1v + b1.value
-    u2 = z2 @ w2v + b2.value
+
+    def projections(xhat):
+        """z (rows, C) from x̂, and u1 and u2."""
+        z2 = _rows(_affine(xhat, gv, bv))
+        return z2, z2 @ w1v + b1.value, z2 @ w2v + b2.value
+
+    xhat, mu, ivar = _ln_stats(xv)
+    _, u1, u2 = projections(xhat)
+    del xhat
     t = _gelu_tanh(u1)
     out = ((0.5 * u1 * (1.0 + t) * u2) @ w3v).reshape(xv.shape) + b3.value
     if residual:
@@ -693,20 +755,30 @@ def geglu_sublayer(
 
     def grads(g):
         g2 = _rows(g)
-        gate = 0.5 * u1 * (1.0 + t)
+        xhat = _ln_xhat(xv, mu, ivar)
+        z2, u1, u2 = projections(xhat)
+        gate = 0.5 * u1
+        gate *= 1.0 + t
+        dw3 = (gate * u2).T @ g2
         dp = g2 @ w3v.T
-        du1 = dp * u2 * _gelu_slope(u1, t)
         du2 = dp * gate
-        z2 = _rows(xhat * gv + bv)
-        dz = (du1 @ w1v.T + du2 @ w2v.T).reshape(xv.shape)
-        dx = _ln_dx(dz * gv, xhat, ivar)
+        del gate
+        du1 = dp
+        du1 *= u2
+        del u2
+        du1 *= _gelu_slope(u1, t)
+        del u1
+        dw1, dw2 = z2.T @ du1, z2.T @ du2
+        del z2
+        dz = du1 @ w1v.T
+        dz += du2 @ w2v.T
+        dz = dz.reshape(xv.shape)
+        dgamma, dbeta = _col_sum(dz * xhat), _col_sum(dz)
+        dz *= _tiled(gv, L)
+        dx = _ln_dx(dz, xhat, ivar)
         if residual:
             dx += g
-        return (
-            dx, _col_sum(dz * xhat), _col_sum(dz),
-            z2.T @ du1, _col_sum(du1), z2.T @ du2, _col_sum(du2),
-            (gate * u2).T @ g2, _col_sum(g2),
-        )
+        return dx, dgamma, dbeta, dw1, _col_sum(du1), dw2, _col_sum(du2), dw3, _col_sum(g2)
 
     return Tensor(out, (x, gamma, beta, w1, b1, w2, b2, w3, b3), _joint_vjps(grads, 9))
 

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hafformer import cli, data, mixers
+from hafformer.errors import ConfigError
 from hafformer.mixers import ChannelMixerKind, TokenMixerKind
 from hafformer.model import Model, ModelConfig, build_model, save_checkpoint
 from hafformer.tensor import Tensor
@@ -619,6 +622,46 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     path.write_bytes(b"seq_len = 64\n# \xff\n")
     assert run_cli("analyze", "--config", str(path)) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+CONFIG_KEYS = [
+    *(f.name for f in fields(ModelConfig)),
+    *(f.name for f in fields(cli.RunConfig) if f.name != "model"),
+    "hierarchy",
+]
+CONFIG_TEXT = st.characters(blacklist_characters="\n#=", blacklist_categories=("Cs",))
+CONFIG_VALUES = st.one_of(
+    st.integers(-(2**80), 2**80).map(str),
+    st.lists(st.integers(-(2**80), 2**80), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "-1e999", "1e-400", "", ",", "1,,2", "TRUE", "h4", "9" * 5000]),
+    st.text(CONFIG_TEXT, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_fuzzed_config_file_parses_to_a_run_config_or_a_config_error(tmp_path_factory, data):
+    """``parse_run_config`` alone, over keys from the config fields,
+    ``hierarchy`` and unknown names, with huge, negative, non-finite and empty
+    values and bytes that are not UTF-8: it returns a ``RunConfig`` or raises
+    a ``ConfigError``, nothing else."""
+    lines = data.draw(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES), max_size=6))
+    if data.draw(st.booleans()):
+        unknown = data.draw(st.text(CONFIG_TEXT, max_size=8))
+        lines.insert(data.draw(st.integers(0, len(lines))), (unknown, "1"))
+    raw = "".join(f"{key} = {value}\n" for key, value in lines).encode("utf-8")
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]))
+        raw = raw[:at] + bad + raw[at:]
+    path = tmp_path_factory.mktemp("config") / "fuzz.cfg"
+    path.write_bytes(raw)
+    try:
+        run = cli.parse_run_config(path)
+    except ConfigError:
+        return
+    assert isinstance(run, cli.RunConfig)
 
 
 def test_synthetic_mode_with_another_input_width_exits_2(tmp_path, capsys):

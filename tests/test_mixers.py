@@ -120,9 +120,11 @@ def test_geglu_node_matches_the_primitive_form(rng, shape, residual):
 
 
 def test_a_block_graph_holds_only_what_its_backward_reads(rng):
-    """An MSDW + GEGLU block's graph keeps, per sublayer, x̂, each row's 1/σ,
-    the pre-activations, the tanh of the GELU and its output: at most 14
-    input-sized arrays, where a node per primitive kept about 25."""
+    """An MSDW + GEGLU block's graph keeps, per sublayer, each row's μ and
+    1/σ, what the conv or a tanh made (MSDW's pre-activation and both tanh
+    arrays) and its output: at most 7 input-sized arrays, where keeping x̂
+    and GEGLU's two projections kept about 12, and a node per primitive
+    about 25."""
     tk, ck = TokenMixerKind.MSDW, ChannelMixerKind.GEGLU
     bp = random_block_params(tk, ck, 8, rng)
     x = Tensor(rng.standard_normal((4, 256, 8)))
@@ -134,7 +136,26 @@ def test_a_block_graph_holds_only_what_its_backward_reads(rng):
     finally:
         tracemalloc.stop()
     assert out.value.shape == x.value.shape
-    assert (held - before) / x.value.nbytes <= 14
+    assert (held - before) / x.value.nbytes <= 7
+
+
+def test_a_block_backward_drops_each_temporary_after_its_last_reader(rng):
+    """The tracemalloc peak of an MSDW + GEGLU block's forward and backward,
+    above the state before the forward, is at most 24 input-sized arrays;
+    keeping x̂ and the projections, with every temporary alive to the end of
+    its node's backward, peaked at about 29."""
+    tk, ck = TokenMixerKind.MSDW, ChannelMixerKind.GEGLU
+    bp = random_block_params(tk, ck, 8, rng)
+    x = Tensor(rng.standard_normal((4, 256, 8)))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        afformer_block(tk, ck, bp, x).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.value.shape
+    assert (peak - before) / x.value.nbytes <= 24
 
 
 def test_pool_token_mixer_on_time_constant_input(rng):
