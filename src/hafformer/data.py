@@ -46,11 +46,7 @@ def _is_file_name(rec_id: str) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    """One record: an id, its (frames, channels) features and its label.
-
-    The label is optional only because a ``.hafe`` file holds none, so
-    ``load_embedding`` returns a record without one; a ``Dataset`` takes
-    labeled records only.
+    """One record: an id, its (frames, channels) features and its label, 0 or 1.
 
     ``source`` is the features array itself, or the ``.hafe`` file that holds
     them, with ``cols`` channels. ``features`` gives an array source back as
@@ -62,7 +58,7 @@ class EmbeddingRecord:
 
     id: str  # a plain file name: a dataset stores the record as <id>.hafe
     source: np.ndarray | Path
-    label: int | None = None
+    label: int
     cols: int = EMBEDDING_DIM  # channels a file source must hold
 
     def __post_init__(self):
@@ -70,18 +66,18 @@ class EmbeddingRecord:
             raise ValueError(f"record id {self.id!r} is not a plain file name")
         if not isinstance(self.source, Path) and (self.source.ndim != 2 or 0 in self.source.shape):
             raise ValueError(f"features must be a non-empty 2-D matrix, got {self.source.shape}")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValueError(f"label must be 0, 1, or None, got {self.label}")
+        if self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
     @property
     def features(self) -> np.ndarray:
         """(frames, channels); a file source is read anew on each access."""
         if not isinstance(self.source, Path):
             return self.source
-        stored = load_embedding(self.source, self.cols)
-        if stored.id != self.id:
-            raise CorruptionError(f"{self.source}: holds record id {stored.id!r}, the manifest lists {self.id!r}")
-        return stored.features
+        rec_id, features = load_embedding(self.source, self.cols)
+        if rec_id != self.id:
+            raise CorruptionError(f"{self.source}: holds record id {rec_id!r}, the manifest lists {self.id!r}")
+        return features
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,6 @@ class Dataset:
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError("record ids must be unique within a dataset")
-        if any(r.label is None for r in self.records):
-            raise ValueError("a dataset needs a label on every record")
 
     def __len__(self):
         return len(self.records)
@@ -173,8 +167,8 @@ def _read_header(fh, path, expected_cols: int) -> tuple[str, int, int]:
     return rec_id, rows, cols
 
 
-def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
-    """Read one record; its features are a new read-only float32 array.
+def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> tuple[str, np.ndarray]:
+    """Read one file: its record id and its features, a new read-only float32 array.
 
     The values are read straight into that array, ``FINITE_CHECK_VALUES`` at
     a time, and each block is checked as it lands, so the check's mask stays
@@ -192,7 +186,7 @@ def load_embedding(path, expected_cols: int = EMBEDDING_DIM) -> EmbeddingRecord:
             if not np.isfinite(block).all():
                 raise CorruptionError(f"{path}: feature values include NaN or infinity")
     values.flags.writeable = False
-    return EmbeddingRecord(rec_id, values.reshape(rows, cols))
+    return rec_id, values.reshape(rows, cols)
 
 
 def save_manifest(path, dataset: Dataset) -> None:

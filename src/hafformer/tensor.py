@@ -11,13 +11,15 @@ graph node carrying one vector-Jacobian closure per parent;
 ``Tensor.backward`` visits every node exactly once in reverse topological
 order, parents in declaration order, so gradient accumulation is
 bit-deterministic, and it frees each interior node as soon as its closures
-have run. No primitive mutates its inputs. The projection with the merge
-after it, and the MSDW and GEGLU sublayers, are fused nodes whose closures
-share one backward; the formulas they share with the primitives (layer
-norm, GELU, the depthwise taps) are array helpers that both call. A node
-keeps only what its backward cannot cheaply rebuild: every layer norm keeps
-each row's mean and 1/σ and rebuilds x̂ from its input's value, which the
-graph holds anyway.
+have run. No primitive mutates its inputs. Every sum runs over C-ordered
+operands (``_rows`` copies any other), so each value and gradient depends on
+its operands' values, never on their memory layout. The projection with the
+merge after it, and the MSDW and GEGLU sublayers, are fused nodes whose
+closures share one backward; the formulas they share with the primitives
+(the layer norm's statistics, affine and backward, GELU, the depthwise
+taps) are array helpers that both call. A node keeps only what its backward
+cannot cheaply rebuild: every layer norm keeps each row's mean and 1/σ and
+rebuilds x̂ from its input's value, which the graph holds anyway.
 """
 
 from __future__ import annotations
@@ -126,8 +128,10 @@ def _require_frames(t: Tensor, op: str) -> None:
 
 
 def _rows(v: np.ndarray) -> np.ndarray:
-    """``v`` as one matrix of channel rows: (every leading index, channels)."""
-    return v.reshape(-1, v.shape[-1])
+    """``v`` as one C-ordered matrix of channel rows: (every leading index,
+    channels), a view of a C-ordered ``v`` and a copy of any other. BLAS then
+    sees one layout whatever the layout of ``v``, so it sums in one order."""
+    return np.ascontiguousarray(v).reshape(-1, v.shape[-1])
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:
@@ -185,9 +189,9 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    """Sum of all entries as a 1x1 matrix (scalar loss helper)."""
+    """Sum of all entries, in C order, as a 1x1 matrix (scalar loss helper)."""
     v = x.value
-    return Tensor([[v.sum()]], (x,), (lambda g: np.full_like(v, g[0, 0]),))
+    return Tensor([[np.ascontiguousarray(v).sum()]], (x,), (lambda g: np.full_like(v, g[0, 0]),))
 
 
 def _gelu_tanh(v: np.ndarray) -> np.ndarray:
@@ -249,20 +253,26 @@ def _ln_xhat(v: np.ndarray, mu: np.ndarray, ivar: np.ndarray) -> np.ndarray:
     return (v - mu) * ivar
 
 
-def _ln_dx(gg: np.ndarray, xhat: np.ndarray, ivar: np.ndarray) -> np.ndarray:
-    """dX of a layer norm from ``gg``, the upstream gradient times gamma:
-    d x̂ -> d x with the mean and variance coupling folded in."""
-    return ivar * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat))
-
-
 def _tiled(c: np.ndarray, rows: int) -> np.ndarray:
     """``c`` (..., C) repeated over ``rows`` rows, as a contiguous (..., rows, C).
 
     A per-channel operand: numpy multiplies (8, 800, 8) by (8,) at about half
-    the rate it multiplies it by the same vector tiled to (800, 8), and the
-    products are the same bits.
+    the rate it multiplies it by the same vector tiled to (800, 8). The
+    products are the same bits, and every reduction after them reads its
+    operand through ``_rows``, so their layout cannot move a bit either.
     """
     return np.repeat(c[..., None, :], rows, axis=-2)
+
+
+def _ln_grads(dz: np.ndarray, xhat: np.ndarray, ivar: np.ndarray, gamma: np.ndarray) -> tuple:
+    """(dx, dγ, dβ) of z = x̂·γ + β, x̂ a layer norm of x, from dz = dL/dz.
+
+    ``dz`` is read, never written: it may be an upstream gradient that
+    ``add`` hands another parent too.
+    """
+    dgamma, dbeta = _col_sum(dz * xhat), _col_sum(dz)
+    gg = dz * _tiled(gamma, dz.shape[-2])
+    return ivar * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat)), dgamma, dbeta
 
 
 def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -292,25 +302,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     _check_affine("layer_norm", x, gamma, beta)
     xv = x.value
     xhat, mu, ivar = _ln_stats(xv)
-    out = xhat * gamma.value + beta.value
 
     def grads(g):
-        xhat = _ln_xhat(xv, mu, ivar)
-        dgamma = _col_sum(g * xhat)
-        return _ln_dx(g * gamma.value, xhat, ivar), dgamma, _col_sum(g)
+        return _ln_grads(g, _ln_xhat(xv, mu, ivar), ivar, gamma.value)
 
-    return Tensor(out, (x, gamma, beta), _joint_vjps(grads, 3))
+    return Tensor(_affine(xhat, gamma.value, beta.value), (x, gamma, beta), _joint_vjps(grads, 3))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Numerically stable per-row softmax (max subtraction)."""
+    """Numerically stable per-row softmax (max subtraction), summing C-ordered rows."""
     _require_frames(x, "softmax_rows")
-    v = x.value
+    v = np.ascontiguousarray(x.value)
     e = np.exp(v - v.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
 
     def dx(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
+        dot = (np.ascontiguousarray(g) * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
 
     return Tensor(out, (x,), (dx,))
@@ -339,10 +346,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.shape[:-2] != bv.shape[:-2]:
         raise ShapeError(f"matmul: leading axes differ, {av.shape} x {bv.shape}")
     return Tensor(
-        av @ bv,
+        _pairwise(av, bv),
         (a, b),
-        (lambda g: g @ np.swapaxes(bv, -1, -2), lambda g: np.swapaxes(av, -1, -2) @ g),
+        (lambda g: _pairwise(g, np.swapaxes(bv, -1, -2)), lambda g: _pairwise(np.swapaxes(av, -1, -2), g)),
     )
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` pair by pair over C-ordered operands: OpenBLAS sums some
+    shapes in another order when an operand is transposed."""
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +396,11 @@ def avg_pool_channels(x: Tensor) -> Tensor:
 
 
 def mean_pool_time(x: Tensor) -> Tensor:
-    """Per-channel temporal mean: (L, C) -> (1, C), (B, L, C) -> (B, C)."""
+    """Per-channel temporal mean, summed in C order: (L, C) -> (1, C), (B, L, C) -> (B, C)."""
     _require_frames(x, "mean_pool_time")
     v = x.value
     L, C = v.shape[-2:]
-    out = v.mean(axis=-2).reshape(-1, C)
+    out = np.ascontiguousarray(v).mean(axis=-2).reshape(-1, C)
 
     def dx(g):
         return np.repeat((g / L).reshape(v.shape[:-2] + (1, C)), L, axis=-2)
@@ -418,20 +431,14 @@ def _tap_slices(L: int, k: int):
 
 def _depthwise(v: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
     """Depthwise correlation of ``v`` (..., L, C) with ``w`` (C, 1, k) over
-    ``taps``, each tap tiled over the L rows once (``_tiled``)."""
+    ``taps``, each tap tiled over the L rows once (``_tiled``). With the
+    kernel and ``taps`` reversed it is its own adjoint, dX: tap k - 1 - t of
+    ``_tap_slices`` is tap t with its rows swapped."""
     wt = _tiled(w[:, 0, :].T, v.shape[-2])
     y = np.zeros(v.shape, dtype=v.dtype)
     for t, out_rows, in_rows in taps:
         y[..., out_rows, :] += v[..., in_rows, :] * wt[t, in_rows]
     return y
-
-
-def _depthwise_dx(g: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
-    wt = _tiled(w[:, 0, :].T, g.shape[-2])
-    gx = np.zeros_like(g)
-    for t, out_rows, in_rows in taps:
-        gx[..., in_rows, :] += g[..., out_rows, :] * wt[t, out_rows]
-    return gx
 
 
 def _depthwise_dw(g: np.ndarray, v: np.ndarray, w: np.ndarray, taps) -> np.ndarray:
@@ -462,7 +469,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     return Tensor(
         _depthwise(xv, w, taps),
         (x, weight),
-        (lambda g: _depthwise_dx(g, w, taps), lambda g: _depthwise_dw(g, xv, w, taps)),
+        (lambda g: _depthwise(g, w[:, :, ::-1], taps[::-1]), lambda g: _depthwise_dw(g, xv, w, taps)),
     )
 
 
@@ -697,11 +704,8 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
         da = g * _gelu_slope(a, t)
         xhat = _ln_xhat(xv, mu, ivar)
         dk = _depthwise_dw(da, _affine(xhat, gv, bv), kernel, taps)
-        dz = _depthwise_dx(da, kernel, taps)
-        del da
-        dgamma, dbeta = _col_sum(dz * xhat), _col_sum(dz)
-        dz *= _tiled(gv, L)
-        dx = _ln_dx(dz, xhat, ivar) + g
+        dx, dgamma, dbeta = _ln_grads(_depthwise(da, kernel[:, :, ::-1], taps[::-1]), xhat, ivar, gv)
+        dx += g
         return dx, dgamma, dbeta, dk, dk[:, :, c : c + 1].copy()
 
     return Tensor(out, (x, gamma, beta, w7, w1), _joint_vjps(grads, 5))
@@ -733,7 +737,7 @@ def geglu_sublayer(
     """
     _check_affine("geglu_sublayer", x, gamma, beta)
     xv, gv, bv = x.value, gamma.value, beta.value
-    L, C = xv.shape[-2:]
+    C = xv.shape[-1]
     H = w1.value.shape[-1]
     shapes = [t.value.shape for t in (w1, b1, w2, b2, w3, b3)]
     if shapes != [(C, H), (H,), (C, H), (H,), (H, C), (C,)]:
@@ -772,10 +776,7 @@ def geglu_sublayer(
         del z2
         dz = du1 @ w1v.T
         dz += du2 @ w2v.T
-        dz = dz.reshape(xv.shape)
-        dgamma, dbeta = _col_sum(dz * xhat), _col_sum(dz)
-        dz *= _tiled(gv, L)
-        dx = _ln_dx(dz, xhat, ivar)
+        dx, dgamma, dbeta = _ln_grads(dz.reshape(xv.shape), xhat, ivar, gv)
         if residual:
             dx += g
         return dx, dgamma, dbeta, dw1, _col_sum(du1), dw2, _col_sum(du2), dw3, _col_sum(g2)

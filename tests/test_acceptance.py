@@ -251,11 +251,11 @@ def test_criterion_9_serialization(tmp_path, rng):
         from hafformer.data import EmbeddingRecord
 
         path = tmp_path / "r.hafe"
-        save_embedding(path, EmbeddingRecord("speaker", features))
-        loaded = load_embedding(path)
-        assert np.array_equal(loaded.features.astype(np.float32), features)
+        save_embedding(path, EmbeddingRecord("speaker", features, 0))
+        rec_id, loaded = load_embedding(path)
+        assert np.array_equal(loaded.astype(np.float32), features)
         path2 = tmp_path / "r2.hafe"
-        save_embedding(path2, loaded)
+        save_embedding(path2, EmbeddingRecord(rec_id, loaded, 0))
         assert path.read_bytes() == path2.read_bytes()
 
         # checkpoint round trip

@@ -418,7 +418,7 @@ def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     for rec_id in ("r1", "r2"):
-        record = data.EmbeddingRecord(rec_id, np.zeros((64, 1024), dtype=np.float32))
+        record = data.EmbeddingRecord(rec_id, np.zeros((64, 1024), dtype=np.float32), 0)
         data.save_embedding(data_dir / f"{rec_id}.hafe", record)
     (data_dir / data.MANIFEST_NAME).write_text(manifest, encoding="utf-8")
     cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
@@ -484,7 +484,7 @@ def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, caps
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    data.save_embedding(data_dir / "r1.hafe", data.EmbeddingRecord("r1", np.zeros((4, 1024), dtype=np.float32)))
+    data.save_embedding(data_dir / "r1.hafe", data.EmbeddingRecord("r1", np.zeros((4, 1024), dtype=np.float32), 0))
     raw = bytearray((data_dir / "r1.hafe").read_bytes())
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")
     (data_dir / "r1.hafe").write_bytes(bytes(raw))
@@ -494,7 +494,7 @@ def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, caps
 
 
 def write_embedding_with_raw_id(path: Path, raw_id: bytes) -> None:
-    data.save_embedding(path, data.EmbeddingRecord("x", np.zeros((64, 1024), dtype=np.float32)))
+    data.save_embedding(path, data.EmbeddingRecord("x", np.zeros((64, 1024), dtype=np.float32), 0))
     raw = path.read_bytes()  # 16 header bytes, the id length, the id "x", the values
     path.write_bytes(raw[:16] + len(raw_id).to_bytes(2, "little") + raw_id + raw[19:])
 
@@ -678,7 +678,7 @@ def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     for rec_id in ("r1", "r2"):
-        record = data.EmbeddingRecord(rec_id, np.zeros((4, 1024), dtype=np.float32))
+        record = data.EmbeddingRecord(rec_id, np.zeros((4, 1024), dtype=np.float32), 0)
         data.save_embedding(data_dir / f"{rec_id}.hafe", record)
     (data_dir / data.MANIFEST_NAME).write_text("r1,0\nr2,\n", encoding="utf-8")
     assert run_cli("eval", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2

@@ -37,12 +37,12 @@ from hafformer.model import ModelConfig, build_model, load_checkpoint, save_chec
 def test_load_well_formed_file(tmp_path, rng):
     path = tmp_path / "rec.hafe"
     features = rng.standard_normal((2, 1024)).astype(np.float32)
-    save_embedding(path, EmbeddingRecord("speaker-01", features))
-    rec = load_embedding(path)
-    assert rec.id == "speaker-01"
-    assert rec.features.shape == (2, 1024)
-    assert rec.features.dtype == np.float32
-    assert rec.features.tobytes() == features.tobytes()  # bit-equal, no upcast
+    save_embedding(path, EmbeddingRecord("speaker-01", features, 0))
+    rec_id, loaded = load_embedding(path)
+    assert rec_id == "speaker-01"
+    assert loaded.shape == (2, 1024)
+    assert loaded.dtype == np.float32
+    assert loaded.tobytes() == features.tobytes()  # bit-equal, no upcast
 
 
 @settings(max_examples=25, deadline=None)
@@ -54,18 +54,18 @@ def test_load_well_formed_file(tmp_path, rng):
 def test_round_trip_is_bit_exact(tmp_path_factory, seed, rows, cols):
     path = tmp_path_factory.mktemp("rt") / "x.hafe"
     features = np.random.default_rng(seed).standard_normal((rows, cols)).astype(np.float32)
-    save_embedding(path, EmbeddingRecord(f"r{seed}", features))
-    rec = load_embedding(path, expected_cols=cols)
-    assert np.array_equal(rec.features.astype(np.float32), features)
+    save_embedding(path, EmbeddingRecord(f"r{seed}", features, 0))
+    rec_id, loaded = load_embedding(path, expected_cols=cols)
+    assert np.array_equal(loaded.astype(np.float32), features)
     # saving what was loaded reproduces the same bytes
     path2 = path.with_name("y.hafe")
-    save_embedding(path2, EmbeddingRecord(rec.id, rec.features))
+    save_embedding(path2, EmbeddingRecord(rec_id, loaded, 0))
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_bad_magic_names_the_file(tmp_path):
     path = tmp_path / "bad.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 4), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 4), dtype=np.float32), 0))
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
@@ -75,7 +75,7 @@ def test_bad_magic_names_the_file(tmp_path):
 
 def test_bad_version(tmp_path):
     path = tmp_path / "v.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 4), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 4), dtype=np.float32), 0))
     raw = bytearray(path.read_bytes())
     raw[4:8] = (9).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
@@ -85,16 +85,15 @@ def test_bad_version(tmp_path):
 
 def test_cols_mismatch(tmp_path):
     path = tmp_path / "c.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 512), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 512), dtype=np.float32), 0))
     with pytest.raises(DimensionError, match="512"):
         load_embedding(path)  # default expects 1024
-    rec = load_embedding(path, expected_cols=512)
-    assert rec.features.shape == (2, 512)
+    assert load_embedding(path, expected_cols=512)[1].shape == (2, 512)
 
 
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.ones((4, 8), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.ones((4, 8), dtype=np.float32), 0))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(CorruptionError):
@@ -103,7 +102,7 @@ def test_truncated_payload(tmp_path):
 
 def test_trailing_bytes(tmp_path):
     path = tmp_path / "g.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.ones((4, 8), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.ones((4, 8), dtype=np.float32), 0))
     path.write_bytes(path.read_bytes() + b"!")
     with pytest.raises(CorruptionError, match="trailing"):
         load_embedding(path, expected_cols=8)
@@ -115,7 +114,7 @@ def test_trailing_bytes(tmp_path):
 )
 def test_load_rejects_an_id_that_is_not_a_utf8_file_name(tmp_path, raw_id, message):
     path = tmp_path / "id.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.ones((2, 4), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.ones((2, 4), dtype=np.float32), 0))
     raw = path.read_bytes()
     header, payload = raw[:16], raw[16 + 2 + 1 :]  # drop the id length and the one-byte id
     path.write_bytes(header + len(raw_id).to_bytes(2, "little") + raw_id + payload)
@@ -125,7 +124,7 @@ def test_load_rejects_an_id_that_is_not_a_utf8_file_name(tmp_path, raw_id, messa
 
 def test_a_file_that_shrinks_after_its_header_is_read_is_corruption(tmp_path, monkeypatch):
     path = tmp_path / "rec.hafe"
-    save_embedding(path, EmbeddingRecord("rec", np.ones((2, 4), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("rec", np.ones((2, 4), dtype=np.float32), 0))
     path.write_bytes(path.read_bytes()[:-4])
     # the header's size check sees the size that was written, the read finds one value less
     fstat = os.fstat
@@ -137,7 +136,7 @@ def test_a_file_that_shrinks_after_its_header_is_read_is_corruption(tmp_path, mo
 
 def test_load_rejects_a_row_count_beyond_the_file(tmp_path):
     path = tmp_path / "huge.hafe"
-    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 1024), dtype=np.float32)))
+    save_embedding(path, EmbeddingRecord("x", np.zeros((2, 1024), dtype=np.float32), 0))
     raw = bytearray(path.read_bytes())
     raw[8:12] = (2**32 - 1).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
@@ -196,7 +195,7 @@ def test_every_block_of_values_is_read_and_checked(tmp_path, rng, rows, at, valu
     features = rng.standard_normal((rows, 1024), dtype=np.float32)
     clean, bad = tmp_path / "clean", tmp_path / "bad"
     save_dataset(clean, Dataset((EmbeddingRecord("rec", features, 0),)))
-    loaded = load_embedding(clean / "rec.hafe").features
+    _, loaded = load_embedding(clean / "rec.hafe")
     assert loaded.tobytes() == features.tobytes()
     assert not loaded.flags.writeable
     (record,) = load_dataset(clean).records
@@ -218,7 +217,7 @@ def test_load_rejects_non_finite_features(tmp_path, value):
     features = np.ones((3, 4), dtype=np.float32)
     features[1, 2] = value
     path = tmp_path / "bad.hafe"
-    save_embedding(path, EmbeddingRecord("bad", features))
+    save_embedding(path, EmbeddingRecord("bad", features, 0))
     with pytest.raises(CorruptionError, match=r"bad\.hafe: feature values include NaN or infinity"):
         load_embedding(path, expected_cols=4)
 
@@ -233,7 +232,7 @@ def damaged(raw: bytes):
 
 
 def write_small_embedding(path):
-    save_embedding(path, EmbeddingRecord("rec", np.arange(12, dtype=np.float32).reshape(3, 4)))
+    save_embedding(path, EmbeddingRecord("rec", np.arange(12, dtype=np.float32).reshape(3, 4), 0))
 
 
 # every parameter has one or two values, so most of the file is headers and names
@@ -281,18 +280,18 @@ def test_load_dataset_rejects_what_load_embedding_rejects(tmp_path_factory, data
     path.write_bytes(data.draw(damaged(path.read_bytes())))
     (directory / "manifest.csv").write_text("rec,0\n", encoding="utf-8")
     try:
-        want = load_embedding(path, expected_cols=4)
+        want_id, want = load_embedding(path, expected_cols=4)
     except (FormatError, CorruptionError, DimensionError) as exc:
         with pytest.raises(type(exc)) as got:
             load_dataset(directory, "train", expected_cols=4)
         assert str(got.value) == str(exc)
         return
-    if want.id != "rec":
+    if want_id != "rec":
         with pytest.raises(CorruptionError, match="the manifest lists 'rec'"):
             load_dataset(directory, "train", expected_cols=4)
         return
     (record,) = load_dataset(directory, "train", expected_cols=4).records
-    assert record.features.tobytes() == want.features.tobytes()
+    assert record.features.tobytes() == want.tobytes()
 
 
 FUZZ_RECORDS = (("a0", 0), ("b1", 1), ("a1", 1))  # ids one byte apart, so damage can swap them
@@ -300,7 +299,7 @@ FUZZ_RECORDS = (("a0", 0), ("b1", 1), ("a1", 1))  # ids one byte apart, so damag
 
 def write_fuzz_dataset(directory):
     for rec_id, label in FUZZ_RECORDS:
-        save_embedding(directory / f"{rec_id}.hafe", EmbeddingRecord(rec_id, np.ones((2, 4), dtype=np.float32)))
+        save_embedding(directory / f"{rec_id}.hafe", EmbeddingRecord(rec_id, np.ones((2, 4), dtype=np.float32), 0))
     return "".join(f"{rec_id},{label}\n" for rec_id, label in FUZZ_RECORDS).encode("utf-8")
 
 
@@ -339,7 +338,7 @@ def test_manifest_round_trip(tmp_path):
 
 def test_a_manifest_line_without_a_label_is_a_format_error(tmp_path):
     for rec_id in ("a", "b"):
-        record = EmbeddingRecord(rec_id, np.zeros((1, 1024), dtype=np.float32))
+        record = EmbeddingRecord(rec_id, np.zeros((1, 1024), dtype=np.float32), 0)
         save_embedding(tmp_path / f"{rec_id}.hafe", record)
     (tmp_path / "manifest.csv").write_text("a,0\nb,\n", encoding="utf-8")
     for split in ("train", "test"):
@@ -389,8 +388,8 @@ def test_manifest_that_is_not_utf8_is_a_format_error(tmp_path):
 
 def test_load_dataset_requires_the_file_id_to_match_the_manifest(tmp_path):
     features = np.zeros((1, 1024), dtype=np.float32)
-    save_embedding(tmp_path / "a.hafe", EmbeddingRecord("a", features))
-    save_embedding(tmp_path / "b.hafe", EmbeddingRecord("a", features))
+    save_embedding(tmp_path / "a.hafe", EmbeddingRecord("a", features, 0))
+    save_embedding(tmp_path / "b.hafe", EmbeddingRecord("a", features, 0))
     (tmp_path / "manifest.csv").write_text("a,0\nb,1\n", encoding="utf-8")
     with pytest.raises(CorruptionError, match="b.hafe: holds record id 'a', the manifest lists 'b'"):
         load_dataset(tmp_path, "train")
@@ -436,9 +435,8 @@ def test_duplicate_ids_rejected():
 
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_each_split_requires_labels_and_records(split):
-    rec = EmbeddingRecord("a", np.zeros((1, 4), dtype=np.float32), None)
-    with pytest.raises(ValueError, match="label"):
-        Dataset((rec,), split)
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        EmbeddingRecord("a", np.zeros((1, 4), dtype=np.float32), None)
     with pytest.raises(ValueError, match="empty"):
         Dataset((), split)
 

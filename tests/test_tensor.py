@@ -483,6 +483,74 @@ def test_primitives_are_bit_deterministic(rng):
         assert np.array_equal(op(), op())
 
 
+FRAMES = (64, 8)  # (L, C) of one sequence: more than 8 terms in every frame-axis sum
+GEGLU_AT_8 = [(8,), (8,), (8, 16), (16,), (8, 16), (16,), (16, 8), (8,)]  # gamma ... b3
+
+# name: (op, shapes of its operands after the batch axis, shapes of its parameters)
+LAYOUT_CASES = {
+    "add": (add, [FRAMES, FRAMES], []),
+    "add_bias": (add_bias, [FRAMES], [(8,)]),
+    "mul": (mul, [FRAMES, FRAMES], []),
+    "scale": (lambda x: scale(x, 1.7), [FRAMES], []),
+    "transpose": (transpose, [FRAMES], []),
+    "sum_all": (sum_all, [FRAMES], []),
+    "gelu": (gelu, [FRAMES], []),
+    "layer_norm": (layer_norm, [FRAMES], [(8,), (8,)]),
+    "softmax_rows": (softmax_rows, [FRAMES], []),
+    "matmul_weight": (matmul, [FRAMES], [(8, 16)]),
+    "matmul_pairwise": (matmul, [FRAMES, (8, 64)], []),
+    "avg_pool_time": (avg_pool_time, [FRAMES], []),
+    "avg_pool_channels": (avg_pool_channels, [FRAMES], []),
+    "mean_pool_time": (mean_pool_time, [FRAMES], []),
+    "cross_entropy": (lambda z: cross_entropy(z, np.arange(z.value.shape[0])), [(9,)], []),
+    "depthwise_conv1d": (depthwise_conv1d, [FRAMES], [(8, 1, 7)]),
+    "conv1d_merge": (conv1d, [FRAMES], [(5, 8, 4), (5,)]),
+    "conv1d_projection": (
+        lambda x, w, b, m, mb: conv1d(list(x.value), w, b, merge=(m, mb)),
+        [FRAMES],
+        [(5, 8, 3), (5,), (4, 5, 4), (4,)],
+    ),
+    "msdw_sublayer": (msdw_sublayer, [FRAMES], [(8,), (8,), (8, 1, 7), (8, 1, 1)]),
+    "geglu_sublayer": (lambda *t: geglu_sublayer(*t, True), [FRAMES], GEGLU_AT_8),
+    "geglu_sublayer_no_residual": (lambda *t: geglu_sublayer(*t, False), [FRAMES], GEGLU_AT_8),
+}
+
+
+def _laid_out(v, layout):
+    """``v``'s values in another memory layout: ``transposed`` is a view of a
+    copy whose last two axes are swapped, ``fortran`` a Fortran-ordered copy."""
+    if layout == "transposed":
+        return np.swapaxes(np.swapaxes(v, -1, -2).copy(), -1, -2)
+    return np.asfortranarray(v)
+
+
+@pytest.mark.parametrize("layout,batch", [("transposed", 1), ("fortran", 3)])
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_results_do_not_depend_on_memory_layout(rng, name, layout, batch):
+    """Each op gives the same bits, value and every gradient, on C-ordered
+    operands and upstream gradient as on the same values in another layout."""
+    op, operand_shapes, param_shapes = LAYOUT_CASES[name]
+    operands = [rng.standard_normal((batch, *s)) for s in operand_shapes]
+    params = [rng.standard_normal(s) for s in param_shapes]
+    seed = None
+
+    def run(arrange):
+        nonlocal seed
+        leaves = [Tensor(arrange(v)) for v in operands] + [Tensor(p.copy()) for p in params]
+        out = op(*leaves)
+        seed = rng.standard_normal(out.value.shape) if seed is None else seed
+        out.backward(arrange(seed))
+        return [out.value] + [t.grad for t in leaves]
+
+    want = run(np.ascontiguousarray)
+    got = run(lambda v: _laid_out(v, layout))
+    for i, (w, g) in enumerate(zip(want, got)):
+        if w is None or g is None:
+            assert w is g, i
+        else:
+            assert np.ascontiguousarray(w).tobytes() == np.ascontiguousarray(g).tobytes(), i
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

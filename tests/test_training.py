@@ -397,7 +397,7 @@ def test_a_file_corrupted_after_loading_raises_when_its_record_is_read(tmp_path)
     last = ds.records[-1]
     features = last.features.copy()
     features[3, 5] = np.nan
-    save_embedding(tmp_path / f"{last.id}.hafe", EmbeddingRecord(last.id, features))
+    save_embedding(tmp_path / f"{last.id}.hafe", EmbeddingRecord(last.id, features, 0))
     with pytest.raises(CorruptionError, match=f"{last.id}.hafe: feature values include NaN"):
         evaluate(build_model(TINY), loaded)
 
@@ -439,5 +439,5 @@ def test_train_requires_labels_and_records():
     model = build_model(TINY)
     with pytest.raises(ValueError, match="empty"):
         train(model, Dataset((), "train"))
-    with pytest.raises(ValueError, match="label"):
-        train(model, Dataset((EmbeddingRecord("u", np.zeros((4, 16), dtype=np.float32), None),), "test"))
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        EmbeddingRecord("u", np.zeros((4, 16), dtype=np.float32), None)
