@@ -6,26 +6,25 @@ batch. Ops act on the channel axis (-1) or the frame axis (-2) and treat a
 leading batch axis as independent sequences; a linear weight is shared by
 every row, so its product is one GEMM over the whole batch. Parameters may
 be 1-D (biases, norm affines), 2-D (linear weights) or 3-D (conv kernels); a
-gradient always has the shape of its value. Each primitive returns a new
-graph node carrying one vector-Jacobian closure per parent;
-``Tensor.backward`` visits every node exactly once in reverse topological
-order, parents in declaration order, so gradient accumulation is
-bit-deterministic, and it frees each interior node as soon as its closures
-have run. No primitive mutates its inputs. Every sum runs over C-ordered
-operands (``_rows`` copies any other), so each value and gradient depends on
-its operands' values, never on their memory layout. The projection with the
-merge after it, and the MSDW and GEGLU sublayers, are fused nodes whose
-closures share one backward; the formulas they share with the primitives
-(the layer norm's statistics, affine and backward, GELU, the depthwise
-taps) are array helpers that both call. A node keeps only what its backward
-cannot cheaply rebuild: every layer norm keeps each row's mean and 1/σ and
-rebuilds x̂ from its input's value, which the graph holds anyway.
+gradient always has the shape of its value. Each op returns a new graph
+node carrying one backward callable that maps the node's upstream gradient
+to one gradient per parent, in parent order; ``Tensor.backward`` visits
+every node exactly once in reverse topological order, parents in
+declaration order, so gradient accumulation is bit-deterministic, and it
+frees each interior node as soon as its backward has run. No op mutates its
+inputs. Every sum runs over C-ordered operands (``_rows`` copies any
+other), so each value and gradient depends on its operands' values, never
+on their memory layout. The projection with the merge after it, and the
+MSDW and GEGLU sublayers, are fused nodes; the formulas they share with the
+primitives (the layer norm's statistics, affine and backward, GELU, the
+depthwise taps) are array helpers that both call. A node keeps only what its
+backward cannot cheaply rebuild: every layer norm keeps each row's mean and
+1/σ and rebuilds x̂ from its input's value, which the graph holds anyway.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,32 +43,34 @@ class Tensor:
     """One node of the computation graph.
 
     Leaves (``parents == ()``) are parameters or data; interior nodes hold
-    the values produced by a primitive plus one closure per parent, which
-    ``backward`` always calls, mapping an upstream gradient to that
-    parent's. A leaf's ``grad`` accumulates across backward calls until it
-    is reset to None.
+    the value produced by an op plus its backward ``vjp``, which maps an
+    upstream gradient to one gradient per parent, in parent order, and which
+    ``backward`` calls once. A leaf's ``grad`` accumulates across backward
+    calls until it is reset to None.
     """
 
     __slots__ = ("value", "grad", "parents", "vjps")
 
-    def __init__(self, value, parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjp=None):
         arr = np.asarray(value)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.value = arr
         self.grad = None
         self.parents = tuple(parents)
-        self.vjps = tuple(vjps)
+        # a 1-tuple, () for a leaf: benchmark/tracing.py times a node by wrapping each entry
+        self.vjps = () if vjp is None else (vjp,)
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into the ``grad`` of every leaf, consuming the graph.
 
         ``seed`` is the upstream gradient of ``self`` (scalar or an array of
         the same shape, default ones). Leaf grads persist across calls, so
-        graphs built one after another can accumulate into them. Once an
-        interior node's closures have run, the node drops its ``grad``,
-        ``vjps`` and ``parents``, so the activations its closures saved are
-        freed while the walk goes on; a graph can be walked once.
+        graphs built one after another can accumulate into them. A node's
+        backward must return exactly one gradient per parent (else
+        ValueError). Once it has run, the node drops its ``grad``, ``vjps``
+        and ``parents``, so the activations its backward saved are freed
+        while the walk goes on; a graph can be walked once.
         """
         if seed is None:
             seed = np.ones_like(self.value)
@@ -88,9 +89,7 @@ class Tensor:
             node = order.pop()  # the list holds no spent node, so it can be freed
             if not node.parents:
                 continue
-            g = node.grad
-            for parent, vjp in zip(node.parents, node.vjps):
-                contrib = vjp(g)
+            for parent, contrib in zip(node.parents, node.vjps[0](node.grad), strict=True):
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
             node.grad = None
             node.vjps = node.parents = ()
@@ -157,7 +156,7 @@ def _col_sum(g: np.ndarray) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-    return Tensor(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    return Tensor(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -167,31 +166,31 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_bias: bias shape {bias.value.shape} does not match columns of {x.value.shape}"
         )
-    return Tensor(x.value + bias.value, (x, bias), (lambda g: g, _col_sum))
+    return Tensor(x.value + bias.value, (x, bias), lambda g: (g, _col_sum(g)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes {a.value.shape} and {b.value.shape} differ")
     av, bv = a.value, b.value
-    return Tensor(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
+    return Tensor(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(x.value * c, (x,), (lambda g: g * c,))
+    return Tensor(x.value * c, (x,), lambda g: (g * c,))
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     _require_frames(x, "transpose")
-    return Tensor(np.swapaxes(x.value, -1, -2), (x,), (lambda g: np.swapaxes(g, -1, -2),))
+    return Tensor(np.swapaxes(x.value, -1, -2), (x,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, in C order, as a 1x1 matrix (scalar loss helper)."""
     v = x.value
-    return Tensor([[np.ascontiguousarray(v).sum()]], (x,), (lambda g: np.full_like(v, g[0, 0]),))
+    return Tensor([[np.ascontiguousarray(v).sum()]], (x,), lambda g: (np.full_like(v, g[0, 0]),))
 
 
 def _gelu_tanh(v: np.ndarray) -> np.ndarray:
@@ -227,7 +226,7 @@ def gelu(x: Tensor) -> Tensor:
     """Tanh-form GELU: 0.5*x*(1 + tanh(c0*(x + c1*x^3)))."""
     v = x.value
     t = _gelu_tanh(v)
-    return Tensor(0.5 * v * (1.0 + t), (x,), (lambda g: g * _gelu_slope(v, t),))
+    return Tensor(0.5 * v * (1.0 + t), (x,), lambda g: (g * _gelu_slope(v, t),))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def grads(g):
         return _ln_grads(g, _ln_xhat(xv, mu, ivar), ivar, gamma.value)
 
-    return Tensor(_affine(xhat, gamma.value, beta.value), (x, gamma, beta), _joint_vjps(grads, 3))
+    return Tensor(_affine(xhat, gamma.value, beta.value), (x, gamma, beta), grads)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -318,9 +317,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def dx(g):
         dot = (np.ascontiguousarray(g) * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot)
+        return (out * (g - dot),)
 
-    return Tensor(out, (x,), (dx,))
+    return Tensor(out, (x,), dx)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -338,17 +337,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if bv.ndim == 2:
         a2 = _rows(av)
 
-        def da(g):
-            return (_rows(g) @ bv.T).reshape(av.shape)
+        def grads(g):
+            g2 = _rows(g)
+            return (g2 @ bv.T).reshape(av.shape), a2.T @ g2
 
         out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[1:])
-        return Tensor(out, (a, b), (da, lambda g: a2.T @ _rows(g)))
+        return Tensor(out, (a, b), grads)
     if av.shape[:-2] != bv.shape[:-2]:
         raise ShapeError(f"matmul: leading axes differ, {av.shape} x {bv.shape}")
     return Tensor(
         _pairwise(av, bv),
         (a, b),
-        (lambda g: _pairwise(g, np.swapaxes(bv, -1, -2)), lambda g: _pairwise(np.swapaxes(av, -1, -2), g)),
+        lambda g: (_pairwise(g, np.swapaxes(bv, -1, -2)), _pairwise(np.swapaxes(av, -1, -2), g)),
     )
 
 
@@ -385,9 +385,9 @@ def avg_pool_time(x: Tensor) -> Tensor:
     out = sums / counts[:, None]
 
     def dx(g):
-        return _window_sums(g / counts[:, None], half)[0]
+        return (_window_sums(g / counts[:, None], half)[0],)
 
-    return Tensor(out, (x,), (dx,))
+    return Tensor(out, (x,), dx)
 
 
 def avg_pool_channels(x: Tensor) -> Tensor:
@@ -403,9 +403,9 @@ def mean_pool_time(x: Tensor) -> Tensor:
     out = np.ascontiguousarray(v).mean(axis=-2).reshape(-1, C)
 
     def dx(g):
-        return np.repeat((g / L).reshape(v.shape[:-2] + (1, C)), L, axis=-2)
+        return (np.repeat((g / L).reshape(v.shape[:-2] + (1, C)), L, axis=-2),)
 
-    return Tensor(out, (x,), (dx,))
+    return Tensor(out, (x,), dx)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +469,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     return Tensor(
         _depthwise(xv, w, taps),
         (x, weight),
-        (lambda g: _depthwise(g, w[:, :, ::-1], taps[::-1]), lambda g: _depthwise_dw(g, xv, w, taps)),
+        lambda g: (_depthwise(g, w[:, :, ::-1], taps[::-1]), _depthwise_dw(g, xv, w, taps)),
     )
 
 
@@ -571,7 +571,7 @@ def _projection_merge(seqs, weight: Tensor, bias: Tensor, merge, length: int) ->
         dm += np.outer(gsum, b)[:, :, None]
         return dw, gsum @ mw.sum(axis=2), dm, gsum
 
-    return Tensor(z, (weight, bias, *merge), _joint_vjps(grads, 4))
+    return Tensor(z, (weight, bias, *merge), grads)
 
 
 def conv1d(
@@ -646,32 +646,16 @@ def conv1d(
     x_r = xv.reshape(-1, k * cin)
     y = (x_r @ w_r).reshape(xv.shape[:-2] + (L // k, cout)) + bias.value
 
-    def dx(g):
-        return (_rows(g) @ w_r.T).reshape(xv.shape)
+    def grads(g):
+        g2 = _rows(g)
+        dw = (x_r.T @ g2).reshape(k, cin, cout).transpose(2, 1, 0)
+        return (g2 @ w_r.T).reshape(xv.shape), dw, _col_sum(g)
 
-    def dw(g):
-        return (x_r.T @ _rows(g)).reshape(k, cin, cout).transpose(2, 1, 0)
-
-    return Tensor(y, (x, weight, bias), (dx, dw, _col_sum))
+    return Tensor(y, (x, weight, bias), grads)
 
 
 # ---------------------------------------------------------------------------
 # fused sublayers: one node each, keeping only what their backward reads
-
-
-def _joint_vjps(grads: Callable[[np.ndarray], tuple], n: int) -> tuple:
-    """``n`` VJP closures over one backward: the first to run for an upstream
-    gradient ``g`` calls ``grads(g)`` for all ``n`` parent gradients, and each
-    closure then hands out its own, dropping its reference to it."""
-    held: list = [None, ()]  # the last upstream gradient and the gradients it gave
-
-    def take(i, g):
-        if held[0] is not g:
-            held[:] = [g, list(grads(g))]
-        out, held[1][i] = held[1][i], None
-        return out
-
-    return tuple(partial(take, i) for i in range(n))
 
 
 def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor) -> Tensor:
@@ -708,7 +692,7 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
         dx += g
         return dx, dgamma, dbeta, dk, dk[:, :, c : c + 1].copy()
 
-    return Tensor(out, (x, gamma, beta, w7, w1), _joint_vjps(grads, 5))
+    return Tensor(out, (x, gamma, beta, w7, w1), grads)
 
 
 def geglu_sublayer(
@@ -781,7 +765,7 @@ def geglu_sublayer(
             dx += g
         return dx, dgamma, dbeta, dw1, _col_sum(du1), dw2, _col_sum(du2), dw3, _col_sum(g2)
 
-    return Tensor(out, (x, gamma, beta, w1, b1, w2, b2, w3, b3), _joint_vjps(grads, 9))
+    return Tensor(out, (x, gamma, beta, w1, b1, w2, b2, w3, b3), grads)
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +800,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def dz(g):
         d = p.copy()
         d[picked] -= 1.0
-        return d * (float(g.reshape(-1)[0]) / rows)
+        return (d * (float(g.reshape(-1)[0]) / rows),)
 
-    return Tensor([[loss]], (logits,), (dz,))
+    return Tensor([[loss]], (logits,), dz)
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:

@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import hafformer  # noqa: F401  (first, so its BLAS thread cap acts before numpy loads)
 import numpy as np
 import pytest
 

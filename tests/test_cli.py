@@ -279,7 +279,7 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     def broken_gelu(x):
         out = real_gelu(x)
         # corrupt the vector-Jacobian product
-        return Tensor(out.value, out.parents, (lambda g: 1.5 * out.vjps[0](g) + 0.1,))
+        return Tensor(out.value, out.parents, lambda g: (1.5 * out.vjps[0](g)[0] + 0.1,))
 
     monkeypatch.setattr(mixers, "gelu", broken_gelu)
     assert run_cli("gradcheck") == 1

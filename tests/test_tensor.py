@@ -540,6 +540,7 @@ def test_results_do_not_depend_on_memory_layout(rng, name, layout, batch):
         out = op(*leaves)
         seed = rng.standard_normal(out.value.shape) if seed is None else seed
         out.backward(arrange(seed))
+        assert all(t.grad is None or t.grad.shape == t.value.shape for t in leaves)
         return [out.value] + [t.grad for t in leaves]
 
     want = run(np.ascontiguousarray)
@@ -723,3 +724,13 @@ def test_backward_accumulates_across_samples(rng):
     loss_on(xs[1]).backward()
     second = theta.grad.copy()
     assert combined == pytest.approx(0.5 * first + 0.5 * second, abs=1e-12)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_backward_rejects_a_node_that_returns_the_wrong_number_of_gradients(extra):
+    """A node's backward returns one gradient per parent; one too few or one
+    too many is an error, not a parent silently left without its gradient."""
+    a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+    out = Tensor(a.value + b.value, (a, b), lambda g: (g,) * (2 + extra))
+    with pytest.raises(ValueError):
+        out.backward()
