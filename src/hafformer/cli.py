@@ -52,17 +52,12 @@ class RunConfig:
     weight_decay: float = 1e-5
     batch_size: int = 8
     epochs: int = 80
-    data_mode: str = "synthetic"  # "synthetic" or "files"
     train_per_class: int = 50
     test_per_class: int = 20
     difficulty: float = 1.0
     data_seed: int = 1234
 
     def __post_init__(self) -> None:
-        if self.data_mode not in ("synthetic", "files"):
-            raise ConfigError(f"data_mode must be 'synthetic' or 'files', got {self.data_mode!r}")
-        if self.data_mode == "synthetic" and self.model.input_dim != data.EMBEDDING_DIM:
-            raise ConfigError(f"synthetic mode needs input_dim {data.EMBEDDING_DIM}, got {self.model.input_dim}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
@@ -145,7 +140,7 @@ def parse_run_config(path) -> RunConfig:
 
 def _load_run_config(args) -> RunConfig:
     run = parse_run_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # only gradcheck, synth and train take --seed
         run = replace(run, model=replace(run.model, seed=args.seed))
     return run
 
@@ -228,17 +223,13 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _load_split(run: RunConfig, split: str, data_dir=None) -> data.Dataset:
-    """The train or test split: read from ``data_dir`` in files mode, else synthesized.
-
-    Synthetic test records are drawn from ``data_seed + 1``.
-    """
-    if run.data_mode == "files":
-        if data_dir is None:
-            raise ConfigError("data_mode = files requires --data DIR")
-        return data.load_dataset(data_dir, split, expected_cols=run.model.input_dim)
+def _load_split(run: RunConfig, input_dim: int, split: str, data_dir=None) -> data.Dataset:
+    """The train or test split for a model of ``input_dim`` channels: read from
+    ``data_dir``, or synthesized without one, test records from ``data_seed + 1``."""
     if data_dir is not None:
-        raise ConfigError("--data needs data_mode = files; data_mode = synthetic reads no files")
+        return data.load_dataset(data_dir, split, expected_cols=input_dim)
+    if input_dim != data.EMBEDDING_DIM:
+        raise ConfigError(f"synthetic data needs input_dim {data.EMBEDDING_DIM}, got {input_dim}")
     per_class = run.train_per_class if split == "train" else run.test_per_class
     seed = run.data_seed + 1 if split == "test" else run.data_seed
     return data.synthesize_dataset(per_class, seed, run.difficulty, split)
@@ -247,11 +238,11 @@ def _load_split(run: RunConfig, split: str, data_dir=None) -> data.Dataset:
 def cmd_synth(args) -> int:
     run = _load_run_config(args)
     data_seed = args.seed if args.seed is not None else run.data_seed
-    run = replace(run, data_mode="synthetic", data_seed=data_seed)
+    run = replace(run, data_seed=data_seed)
     out = Path(args.out)
     counts = {}
     for split in ("train", "test"):
-        dataset = _load_split(run, split)
+        dataset = _load_split(run, run.model.input_dim, split)
         data.save_dataset(out / split, dataset)
         counts[split] = len(dataset)
     print(json.dumps({**counts, "out": str(out)}))
@@ -261,7 +252,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     run = _load_run_config(args)
     model = build_model(run.model)
-    dataset = _load_split(run, "train", args.data)
+    dataset = _load_split(run, run.model.input_dim, "train", args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = training.train(
@@ -289,7 +280,7 @@ def cmd_eval(args) -> int:
     run = _load_run_config(args)
     checkpoint = Path(args.out) / CHECKPOINT_NAME
     model = load_checkpoint(checkpoint)
-    dataset = _load_split(replace(run, model=model.cfg), "test", args.data)
+    dataset = _load_split(run, model.cfg.input_dim, "test", args.data)
     metrics = training.evaluate(model, dataset)
     payload = json.dumps(metrics.to_dict())
     print(payload)
@@ -309,9 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, data=False, out=False, json_flag=False):
+    def common(p, *, seed=False, data=False, out=False, json_flag=False):
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         if data:
             p.add_argument("--data", metavar="DIR", help="directory with manifest + embedding files")
         if out:
@@ -325,15 +317,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks for all mixer combos")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="write a synthetic embedding dataset")
-    common(p, out=True)
+    common(p, seed=True, out=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + log")
-    common(p, data=True, out=True)
+    common(p, seed=True, data=True, out=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint; prints metrics JSON")

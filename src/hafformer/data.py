@@ -40,8 +40,9 @@ SYNTH_MAX_FRAMES = 3200
 
 
 def _is_file_name(rec_id: str) -> bool:
-    """True if ``<rec_id>.hafe`` names a file in the dataset's own directory."""
-    return rec_id not in ("", ".", "..") and not any(c in rec_id for c in "/\\\0")
+    """True if ``<rec_id>.hafe`` names a file in the dataset's own directory
+    and ``rec_id`` fits on one manifest line."""
+    return rec_id not in ("", ".", "..") and not any(c in rec_id for c in "/\\\0\n\r")
 
 
 @dataclass(frozen=True)

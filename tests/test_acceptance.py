@@ -290,8 +290,7 @@ def test_criterion_9_serialization(tmp_path, rng):
         data_dir.mkdir()
         (data_dir / "manifest.csv").write_text("ghost,0\n", encoding="utf-8")
         (data_dir / "ghost.hafe").write_bytes(b"WAVE" + b"\x00" * 16)
-        files_cfg = write_config(tmp_path / "f.cfg", data_mode="files", seq_len=64)
         result = run_subprocess(
-            "train", "--config", str(files_cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")
+            "train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")
         )
         assert result.returncode == 2

@@ -27,12 +27,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def run_subprocess(*argv, cwd=None):
+def run_subprocess(*argv, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "hafformer.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 
@@ -47,7 +48,6 @@ def write_config(path: Path, **overrides) -> Path:
         "batch_size": 8,
         "lr": 2e-3,
         "weight_decay": 1e-5,
-        "data_mode": "synthetic",
         "train_per_class": 6,
         "test_per_class": 4,
         "difficulty": 1.0,
@@ -91,6 +91,12 @@ def test_analyze_all_combos_json(tmp_path, capsys):
     assert abs(by_combo[("msdw", "geglu")]["macs"] - 1.44) <= 0.02
     assert by_combo[("self_attention", "ffn")]["params"] == 5.09
     assert "warning: msdw" in out
+
+
+def test_analyze_takes_a_model_of_any_input_width(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", seq_len=100, input_dim=16, stage_factors="5,5", stage_depths="1,1")
+    assert run_cli("analyze", "--config", str(cfg)) == 0
+    assert re.search(r"^projection +392 ", capsys.readouterr().out, flags=re.MULTILINE)  # 8 x 16 x 3 + 8
 
 
 def test_unknown_config_key_is_line_numbered(tmp_path, capsys):
@@ -160,7 +166,6 @@ RUN_VALUES = dict(
     weight_decay=0.0,
     batch_size=4,
     epochs=2,
-    data_mode="files",
     train_per_class=3,
     test_per_class=2,
     difficulty=0.5,
@@ -257,7 +262,7 @@ def test_gradcheck_passes(capsys):
 
 
 def test_gradcheck_small_fits_its_length_to_the_stage_factors(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", seq_len=100, stage_factors="5,5", stage_depths="1,1")
+    cfg = write_config(tmp_path / "c.cfg", seq_len=100, input_dim=16, stage_factors="5,5", stage_depths="1,1")
     assert run_cli("gradcheck", "--config", str(cfg)) == 0
     assert capsys.readouterr().out.count("PASS") == 25
 
@@ -305,16 +310,9 @@ def test_synth_writes_datasets(tmp_path, capsys):
 
 
 def test_train_and_eval_from_files(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "c.cfg",
-        data_mode="files",
-        train_per_class=3,
-        test_per_class=2,
-        epochs=2,
-    )
-    synth_cfg = write_config(tmp_path / "s.cfg", train_per_class=3, test_per_class=2)
+    cfg = write_config(tmp_path / "c.cfg", train_per_class=3, test_per_class=2, epochs=2)
     data_dir = tmp_path / "data"
-    assert run_cli("synth", "--config", str(synth_cfg), "--out", str(data_dir)) == 0
+    assert run_cli("synth", "--config", str(cfg), "--out", str(data_dir)) == 0
     out_dir = tmp_path / "run"
     assert (
         run_cli("train", "--config", str(cfg), "--data", str(data_dir / "train"), "--out", str(out_dir))
@@ -336,10 +334,9 @@ def test_train_and_eval_from_files(tmp_path, capsys):
 
 def test_eval_perfect_memorization_fixture(tmp_path, capsys):
     """Evaluating on the memorized training data itself gives perfect metrics."""
-    synth_cfg = write_config(tmp_path / "s.cfg")
+    cfg = write_config(tmp_path / "c.cfg", epochs=8)
     data_dir = tmp_path / "data"
-    assert run_cli("synth", "--config", str(synth_cfg), "--out", str(data_dir)) == 0
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=8)
+    assert run_cli("synth", "--config", str(cfg), "--out", str(data_dir)) == 0
     out_dir = tmp_path / "run"
     assert (
         run_cli("train", "--config", str(cfg), "--data", str(data_dir / "train"), "--out", str(out_dir))
@@ -354,28 +351,11 @@ def test_eval_perfect_memorization_fixture(tmp_path, capsys):
     assert metrics["f1"] == 1.0
 
 
-def test_train_files_mode_requires_data_dir(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
-    assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-    assert "--data" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_data_in_synthetic_mode_exits_2(tmp_path, capsys, command):
-    cfg = write_config(tmp_path / "c.cfg", epochs=1, train_per_class=1, test_per_class=1)
-    out_dir = tmp_path / "run"
-    out_dir.mkdir()
-    save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
-    missing = tmp_path / "nonexistent"
-    assert run_cli(command, "--config", str(cfg), "--data", str(missing), "--out", str(out_dir)) == 2
-    assert "data_mode" in capsys.readouterr().err
-
-
 def test_a_train_that_fails_to_load_its_data_creates_no_out_directory(tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     (data_dir / data.MANIFEST_NAME).write_text("r1,0\n", encoding="utf-8")
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     out_dir = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(out_dir)) == 2
     assert "r1.hafe does not exist" in capsys.readouterr().err
@@ -391,21 +371,24 @@ def test_train_with_three_classes_exits_2_before_creating_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lines,array",
+    "lines,array,files",
     [
-        ("proj_kernel = 9223372036854775809", "projection.weight"),
-        ("head_hidden = 9223372036854775807", "head.fc1.weight"),
-        ("d_model = 4611686018427387904", "projection.weight"),
-        ("seq_len = 1180591620717411303424\nstage_factors = 1\nstage_depths = 1", "stage0 activations"),
-        ("head_hidden = 9223372036854775807\ndata_mode = files", "head.fc1.weight"),  # before any data
+        ("proj_kernel = 9223372036854775809", "projection.weight", False),
+        ("head_hidden = 9223372036854775807", "head.fc1.weight", False),
+        ("d_model = 4611686018427387904", "projection.weight", False),
+        ("seq_len = 1180591620717411303424\nstage_factors = 1\nstage_depths = 1", "stage0 activations", False),
+        ("head_hidden = 9223372036854775807", "head.fc1.weight", True),  # before --data is read
     ],
     ids=["proj_kernel", "head_hidden", "d_model", "seq_len", "files-mode"],
 )
-def test_a_config_asking_for_an_array_numpy_refuses_exits_2_before_creating_out(tmp_path, capsys, lines, array):
+def test_a_config_asking_for_an_array_numpy_refuses_exits_2_before_creating_out(
+    tmp_path, capsys, lines, array, files
+):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{lines}\ntrain_per_class = 1\ntest_per_class = 1\nepochs = 1\n", encoding="utf-8")
     out_dir = tmp_path / "run"
-    assert run_cli("train", "--config", str(cfg), "--out", str(out_dir)) == 2
+    data_args = ["--data", str(tmp_path / "nonexistent")] if files else []
+    assert run_cli("train", "--config", str(cfg), *data_args, "--out", str(out_dir)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {array} (") and "more than numpy's limit" in err
     assert not out_dir.exists()
@@ -421,7 +404,7 @@ def test_train_rejects_a_bad_manifest_with_exit_2(tmp_path, capsys, manifest):
         record = data.EmbeddingRecord(rec_id, np.zeros((64, 1024), dtype=np.float32), 0)
         data.save_embedding(data_dir / f"{rec_id}.hafe", record)
     (data_dir / data.MANIFEST_NAME).write_text(manifest, encoding="utf-8")
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
     assert "manifest.csv:" in capsys.readouterr().err
 
@@ -460,7 +443,7 @@ def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, caps
     """The NaN is in the last file the manifest lists, and no forward runs."""
     forwards = []
     monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: forwards.append(args))
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
@@ -478,7 +461,7 @@ def test_non_finite_features_exit_2_before_training_or_evaluation(tmp_path, caps
 
 
 def test_eval_rejects_an_embedding_of_impossible_size_with_exit_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    cfg = write_config(tmp_path / "c.cfg")
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
@@ -516,7 +499,7 @@ def test_train_rejects_bad_text_and_ids_in_a_dataset_with_exit_2(tmp_path, capsy
     for name, raw_id in ids.items():
         write_embedding_with_raw_id(data_dir / f"{name}.hafe", raw_id)
     (data_dir / data.MANIFEST_NAME).write_bytes(manifest)
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err
 
@@ -533,7 +516,7 @@ def test_a_dataset_the_file_system_cannot_open_exits_2(tmp_path, capsys, case):
         manifest.write_text("r1,0\n", encoding="utf-8")
     else:
         manifest.write_text("r" * 300 + ",0\n", encoding="utf-8")
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     assert run_cli("train", "--config", str(cfg), "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -571,7 +554,7 @@ def test_eval_rejects_a_checkpoint_holding_nan_with_exit_2(tmp_path, capsys):
 def test_eval_reads_the_data_at_the_width_of_the_checkpoint(tmp_path, capsys):
     """A 16-wide checkpoint against 1024-wide files is a DimensionError (exit
     2) whatever width the run config names; eval runs the checkpoint's model."""
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    cfg = write_config(tmp_path / "c.cfg")
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), out_dir / cli.CHECKPOINT_NAME)
@@ -581,25 +564,29 @@ def test_eval_reads_the_data_at_the_width_of_the_checkpoint(tmp_path, capsys):
     assert "r1.hafe: 1024 channels, expected 16" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["analyze", "gradcheck", "synth", "train", "eval"])
+@pytest.mark.parametrize("command", ["gradcheck", "synth", "train"])
 def test_a_negative_seed_exits_2_before_any_work(tmp_path, capsys, command):
     out_dir = tmp_path / "o"
     argv = [command, "--config", str(write_config(tmp_path / "c.cfg", epochs=1)), "--seed", "-1"]
-    if command == "eval":  # a checkpoint to evaluate, and a JSON path it must not write
-        out_dir.mkdir()
-        save_checkpoint(build_model(ModelConfig(seq_len=256)), out_dir / cli.CHECKPOINT_NAME)
-        argv += ["--json", str(tmp_path / "metrics.json")]
-    if command in ("synth", "train", "eval"):
+    if command != "gradcheck":
         argv += ["--out", str(out_dir)]
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert "seed" in captured.err and captured.out == ""
-    assert out_dir.exists() == (command == "eval")  # eval's was made above, with its checkpoint
-    assert not (tmp_path / "metrics.json").exists()
+    assert not out_dir.exists()
+
+
+def test_seed_is_a_usage_error_where_it_changes_nothing(capsys):
+    """``analyze`` reads no seed, and ``eval`` runs the checkpoint's model."""
+    for command in ("analyze", "eval"):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(command, "--seed", "1")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_synth_with_another_input_width_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", input_dim=16, seq_len=64)
+    cfg = write_config(tmp_path / "c.cfg", input_dim=16, seq_len=64)
     assert run_cli("synth", "--config", str(cfg), "--out", str(tmp_path / "data")) == 2
     assert "needs input_dim 1024, got 16" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
@@ -664,14 +651,23 @@ def test_a_fuzzed_config_file_parses_to_a_run_config_or_a_config_error(tmp_path_
     assert isinstance(run, cli.RunConfig)
 
 
-def test_synthetic_mode_with_another_input_width_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", input_dim=16, epochs=1)
-    assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_synthetic_mode_with_another_input_width_exits_2(tmp_path, capsys, command):
+    """Without ``--data`` the split is synthesized at 1024 channels, so a
+    model of another width is refused before any record is made: the
+    config's model for train, the checkpoint's for eval."""
+    cfg = write_config(tmp_path / "c.cfg", input_dim=16, seq_len=64, epochs=1)
+    out_dir = tmp_path / "o"
+    if command == "eval":
+        out_dir.mkdir()
+        save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), out_dir / cli.CHECKPOINT_NAME)
+    assert run_cli(command, "--config", str(cfg), "--out", str(out_dir)) == 2
     assert "needs input_dim 1024, got 16" in capsys.readouterr().err
+    assert out_dir.exists() == (command == "eval")  # eval's was made above, with its checkpoint
 
 
 def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files")
+    cfg = write_config(tmp_path / "c.cfg")
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
@@ -687,7 +683,7 @@ def test_eval_on_an_unlabeled_record_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_an_empty_manifest_exits_2_naming_it(tmp_path, capsys, command):
-    cfg = write_config(tmp_path / "c.cfg", data_mode="files", epochs=1)
+    cfg = write_config(tmp_path / "c.cfg", epochs=1)
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     save_checkpoint(build_model(cli.parse_run_config(cfg).model), out_dir / cli.CHECKPOINT_NAME)
@@ -732,18 +728,34 @@ def strip_wall_ms(log_text: str) -> list[dict]:
     return entries
 
 
+def assert_same_runs(run_a: Path, run_b: Path) -> None:
+    """The same checkpoint bytes, and the same log once ``wall_ms`` is stripped."""
+    assert (run_a / cli.CHECKPOINT_NAME).read_bytes() == (run_b / cli.CHECKPOINT_NAME).read_bytes()
+    log_a = strip_wall_ms((run_a / cli.TRAIN_LOG_NAME).read_text())
+    log_b = strip_wall_ms((run_b / cli.TRAIN_LOG_NAME).read_text())
+    assert log_a == log_b
+
+
 def test_repeated_training_runs_are_byte_identical(tmp_path):
     """Two independent processes with the same seeds produce the same bytes."""
     cfg = write_config(tmp_path / "c.cfg", train_per_class=4, epochs=3)
     for name in ("a", "b"):
         result = run_subprocess("train", "--config", str(cfg), "--out", str(tmp_path / name))
         assert result.returncode == 0, result.stderr
-    ckpt_a = (tmp_path / "a" / "checkpoint.hafc").read_bytes()
-    ckpt_b = (tmp_path / "b" / "checkpoint.hafc").read_bytes()
-    assert ckpt_a == ckpt_b
-    log_a = strip_wall_ms((tmp_path / "a" / "train_log.jsonl").read_text())
-    log_b = strip_wall_ms((tmp_path / "b" / "train_log.jsonl").read_text())
-    assert log_a == log_b
+    assert_same_runs(tmp_path / "a", tmp_path / "b")
+
+
+def test_a_training_run_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """A whole ``haff train`` of the default 3200-frame model, AdamW and both
+    epochs included, writes the same bytes with one BLAS thread as with two."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("train_per_class = 4\nepochs = 2\n", encoding="utf-8")
+    caps = ("HAFF_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(caps, threads))
+        result = run_subprocess("train", "--config", str(cfg), "--out", str(tmp_path / threads), env=env)
+        assert result.returncode == 0, result.stderr
+    assert_same_runs(tmp_path / "1", tmp_path / "2")
 
 
 def test_seed_override_changes_the_run(tmp_path, capsys):

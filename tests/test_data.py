@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hafformer import data as data_module
@@ -320,6 +320,22 @@ def test_a_manifest_that_lists_a_missing_file_is_a_format_error(tmp_path):
     (tmp_path / "manifest.csv").write_text("a0,0\nb0,1\n", encoding="utf-8")
     with pytest.raises(FormatError, match=r"manifest\.csv: lists 'b0', but .*b0\.hafe does not exist"):
         load_dataset(tmp_path, "train", expected_cols=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rec_id=st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+def test_any_record_id_a_record_accepts_survives_a_save_and_load(tmp_path_factory, rec_id):
+    try:
+        record = EmbeddingRecord(rec_id, np.ones((2, 4), dtype=np.float32), 1)
+    except ValueError:
+        assume(False)
+    directory = tmp_path_factory.mktemp("ids")
+    try:
+        save_dataset(directory, Dataset((record,), "train"))
+    except OSError:  # a name the file system refuses, such as one too long
+        assume(False)
+    (loaded,) = load_dataset(directory, "train", expected_cols=4).records
+    assert loaded.id == rec_id
 
 
 def test_manifest_round_trip(tmp_path):
