@@ -27,14 +27,7 @@ from .errors import (
     OptimizationError,
 )
 from .mixers import ALL_MIXER_COMBOS
-from .model import (
-    HierarchyPreset,
-    ModelConfig,
-    apply_preset,
-    build_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from .tensor import Tensor, grad_check, sum_all
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -100,7 +93,6 @@ def parse_run_config(path) -> RunConfig:
     """Parse a flat key = value config file; the configs check their own values."""
     model_fields: dict = {}
     run_fields: dict = {}
-    hierarchy: HierarchyPreset | None = None
     seen: dict[str, int] = {}  # key -> the line that gave it
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
@@ -119,9 +111,7 @@ def parse_run_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is also given on line {seen[key]}")
         seen[key] = lineno
         try:
-            if key == "hierarchy":
-                hierarchy = HierarchyPreset(raw_value)
-            elif key in _MODEL_KEYS:
+            if key in _MODEL_KEYS:
                 model_fields[key] = _MODEL_KEYS[key](raw_value)
             elif key in _RUN_KEYS:
                 run_fields[key] = _RUN_KEYS[key](raw_value)
@@ -132,10 +122,7 @@ def parse_run_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
 
-    cfg = ModelConfig()
-    if hierarchy is not None:
-        cfg = apply_preset(hierarchy, cfg)
-    return RunConfig(model=replace(cfg, **model_fields), **run_fields)
+    return RunConfig(model=ModelConfig(**model_fields), **run_fields)
 
 
 def _load_run_config(args) -> RunConfig:

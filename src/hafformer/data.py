@@ -200,10 +200,12 @@ def save_manifest(path, dataset: Dataset) -> None:
 def load_manifest(path) -> dict[str, int]:
     """Map each record id to its label; ids must be unique file names, labels 0 or 1.
 
-    Every line needs a label; an empty one is a ``FormatError`` naming the line.
+    Lines end in LF alone and are read as written (a CR stays on the line).
+    Every line needs a label, exactly the text ``0`` or ``1``, as
+    ``save_manifest`` writes it; any other is a ``FormatError`` naming the line.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     labels: dict[str, int] = {}
@@ -219,12 +221,9 @@ def load_manifest(path) -> dict[str, int]:
             raise FormatError(f"{path}:{lineno}: id {rec_id!r} is listed twice")
         if not label:
             raise FormatError(f"{path}:{lineno}: id {rec_id!r} has no label")
-        try:
-            labels[rec_id] = int(label)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: label {label!r} is not an integer") from None
-        if labels[rec_id] not in (0, 1):
+        if label not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: label {label!r} is not 0 or 1")
+        labels[rec_id] = int(label)
     return labels
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -80,27 +82,6 @@ class ModelConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-class HierarchyPreset(str, Enum):
-    H2 = "h2"
-    H3_1 = "h3_1"
-    H3_2 = "h3_2"
-    H4 = "h4"
-
-
-_PRESET_STAGES: dict[HierarchyPreset, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    HierarchyPreset.H2: ((4, 2), (2, 2)),
-    HierarchyPreset.H3_1: ((4, 2, 2), (2, 2, 1)),
-    HierarchyPreset.H3_2: ((4, 2, 2), (2, 2, 2)),
-    HierarchyPreset.H4: ((4, 2, 2, 2), (2, 2, 2, 1)),
-}
-
-
-def apply_preset(preset: HierarchyPreset, cfg: ModelConfig) -> ModelConfig:
-    """Overwrite stage_factors/stage_depths from a hierarchy preset."""
-    factors, depths = _PRESET_STAGES[HierarchyPreset(preset)]
-    return replace(cfg, stage_factors=factors, stage_depths=depths)
-
-
 class ParameterStore(dict[str, Tensor]):
     """Ordered name -> leaf Tensor map of a model's parameters."""
 
@@ -121,27 +102,26 @@ def _fan_in(shape: tuple[int, ...]) -> int:
     return shape[0] if len(shape) == 2 else shape[1] * shape[2]
 
 
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Every parameter's name and shape, in declaration order: the one layout
-    that ``build_model`` allocates and ``load_checkpoint`` checks files against."""
+    that ``build_model`` allocates and ``load_checkpoint`` checks files against.
+    It is made as it is read, so a reader can stop early."""
     d = cfg.d_model
-    shapes: dict[str, tuple[int, ...]] = {
-        "projection.weight": (d, cfg.input_dim, cfg.proj_kernel),
-        "projection.bias": (d,),
-    }
+    yield "projection.weight", (d, cfg.input_dim, cfg.proj_kernel)
+    yield "projection.bias", (d,)
     block = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, d)
     for s, (factor, depth) in enumerate(zip(cfg.stage_factors, cfg.stage_depths)):
-        shapes[f"stage{s}.merge.weight"] = (d, d, factor)
-        shapes[f"stage{s}.merge.bias"] = (d,)
+        yield f"stage{s}.merge.weight", (d, d, factor)
+        yield f"stage{s}.merge.bias", (d,)
         for b in range(depth):
-            shapes.update({f"stage{s}.block{b}.{name}": shape for name, shape in block.items()})
-    shapes["final_norm.gamma"] = (d,)
-    shapes["final_norm.beta"] = (d,)
-    shapes["head.fc1.weight"] = (d, cfg.head_hidden)
-    shapes["head.fc1.bias"] = (cfg.head_hidden,)
-    shapes["head.fc2.weight"] = (cfg.head_hidden, cfg.num_classes)
-    shapes["head.fc2.bias"] = (cfg.num_classes,)
-    return shapes
+            for name, shape in block.items():
+                yield f"stage{s}.block{b}.{name}", shape
+    yield "final_norm.gamma", (d,)
+    yield "final_norm.beta", (d,)
+    yield "head.fc1.weight", (d, cfg.head_hidden)
+    yield "head.fc1.bias", (cfg.head_hidden,)
+    yield "head.fc2.weight", (cfg.head_hidden, cfg.num_classes)
+    yield "head.fc2.bias", (cfg.num_classes,)
 
 
 def _check_array_sizes(cfg: ModelConfig) -> None:
@@ -157,7 +137,7 @@ def _check_array_sizes(cfg: ModelConfig) -> None:
     limit = np.iinfo(np.intp).max
     block = block_param_shapes(cfg.token_mixer, cfg.channel_mixer, cfg.d_model)
     width = max(n for shape in block.values() for n in shape[:2])  # axes 0 and 1 are channel counts
-    arrays = param_shapes(cfg)
+    arrays = dict(param_shapes(cfg))
     frames = cfg.seq_len
     for s, factor in enumerate(cfg.stage_factors):
         frames //= factor
@@ -182,7 +162,7 @@ def build_model(cfg: ModelConfig) -> "Model":
     _check_array_sizes(cfg)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     store = ParameterStore()
-    for name, shape in param_shapes(cfg).items():
+    for name, shape in param_shapes(cfg):
         if name.endswith(".gamma"):
             value = np.ones(shape)
         elif len(shape) == 1:
@@ -321,9 +301,11 @@ def load_checkpoint(path) -> Model:
 
     The file's parameter names and shapes must be those that its config
     declares (``param_shapes``), checked before anything is allocated for
-    the model; each parameter then gets its own writable float64 copy of
-    the bytes read, which must be finite. A config whose activations numpy
-    cannot allocate is a ``ConfigError``.
+    the model and reading at most one name of that layout past the file's
+    count, however many blocks the config declares. Each parameter then
+    gets its own writable float64 copy of the bytes read, which must be
+    finite. A config whose activations numpy cannot allocate is a
+    ``ConfigError``.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -351,7 +333,9 @@ def load_checkpoint(path) -> Model:
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after last parameter")
 
-    expected = param_shapes(cfg)
+    expected = dict(islice(param_shapes(cfg), count + 1))
+    if len(expected) > count:
+        raise FormatError(f"{path}: config declares more parameters than the file's {count}")
     if set(values) != set(expected):
         raise FormatError(
             f"{path}: parameter names do not match the config: "

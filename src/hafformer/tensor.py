@@ -362,32 +362,24 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # temporal / channel pooling
 
 
-def _window_sums(v: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded sliding sums along the frame axis with radius ``half`` + true counts."""
-    L = v.shape[-2]
-    csum = np.zeros(v.shape[:-2] + (L + 1, v.shape[-1]), dtype=v.dtype)
-    np.cumsum(v, axis=-2, out=csum[..., 1:, :])
-    idx = np.arange(L)
-    hi = np.minimum(idx + half + 1, L)
-    lo = np.maximum(idx - half, 0)
-    return csum[..., hi, :] - csum[..., lo, :], (hi - lo).astype(v.dtype)
-
-
 def avg_pool_time(x: Tensor) -> Tensor:
     """Sliding mean of ``POOL_KERNEL`` frames along the frame axis, stride 1, same padding.
 
-    Boundary windows are normalized by the number of in-range frames, so
-    constant sequences are preserved exactly.
+    A depthwise correlation with a kernel of ones (``_depthwise``), each row
+    divided by its number of in-range frames, so constant sequences are
+    preserved to rounding. Its adjoint divides by the counts first, then
+    correlates over the reversed taps.
     """
     _require_frames(x, "avg_pool_time")
-    half = POOL_KERNEL // 2
-    sums, counts = _window_sums(x.value, half)
-    out = sums / counts[:, None]
-
-    def dx(g):
-        return (_window_sums(g / counts[:, None], half)[0],)
-
-    return Tensor(out, (x,), dx)
+    L, C = x.value.shape[-2:]
+    taps = _tap_slices(L, POOL_KERNEL)
+    ones = np.ones((C, 1, POOL_KERNEL))
+    counts = _depthwise(np.ones((L, 1)), ones[:1], taps)  # (L, 1): each row's in-range frames
+    return Tensor(
+        _depthwise(x.value, ones, taps) / counts,
+        (x,),
+        lambda g: (_depthwise(g / counts, ones, taps[::-1]),),
+    )
 
 
 def avg_pool_channels(x: Tensor) -> Tensor:

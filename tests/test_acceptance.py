@@ -19,14 +19,7 @@ from hafformer.analysis import REFERENCE_COSTS, count_costs, emit_cost_table
 from hafformer.data import load_embedding, save_embedding
 from hafformer.errors import CorruptionError, FormatError
 from hafformer.mixers import ALL_MIXER_COMBOS, ChannelMixerKind, TokenMixerKind
-from hafformer.model import (
-    HierarchyPreset,
-    ModelConfig,
-    apply_preset,
-    build_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from hafformer.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 from hafformer.tensor import Tensor, grad_check, sum_all
 from hafformer.training import cross_entropy
 
@@ -113,16 +106,16 @@ def test_criterion_3_row_difference_oracles():
 
 
 def test_criterion_4_structural_parity():
-    with criterion(4, "allocator matches analyzer for 24 combos x 2 presets; stage lengths exact"):
-        for preset in (HierarchyPreset.H3_1, HierarchyPreset.H3_2):
+    with criterion(4, "allocator matches analyzer for 24 combos x 2 hierarchies; stage lengths exact"):
+        for depths in ((2, 2, 1), (2, 2, 2)):  # H3-1 and H3-2, both with stage_factors 4,2,2
             for tk, ck in ALL_MIXER_COMBOS:
-                cfg = apply_preset(preset, combo_cfg(tk, ck))
+                cfg = combo_cfg(tk, ck, stage_factors=(4, 2, 2), stage_depths=depths)
                 model = build_model(cfg)
                 report = count_costs(cfg)
                 assert (
                     model.params.total_scalars(exclude_prefix="projection.")
                     == report.params_excl_projection
-                ), (preset, tk, ck)
+                ), (depths, tk, ck)
         model = build_model(ModelConfig())
         trace = []
         model.forward(np.zeros((3200, 1024)), trace=trace)

@@ -41,7 +41,6 @@ def write_config(path: Path, **overrides) -> Path:
     base = {
         "token_mixer": "msdw",
         "channel_mixer": "geglu",
-        "hierarchy": "h3_1",
         "seq_len": 256,
         "seed": 7,
         "epochs": 6,
@@ -195,13 +194,6 @@ def test_every_config_field_is_a_key_with_a_typed_value(tmp_path):
         assert type(getattr(run, key)) is type(value), key
 
 
-def test_hierarchy_key_expands_the_preset(tmp_path):
-    path = tmp_path / "h.cfg"
-    path.write_text("hierarchy = h2\n", encoding="utf-8")
-    model = cli.parse_run_config(path).model
-    assert (model.stage_factors, model.stage_depths) == ((4, 2), (2, 2))
-
-
 @pytest.mark.parametrize(
     "line",
     ["channel_residual = yes", "stage_factors = 4,x", "lr = fast", "epochs = 2.5", "hierarchy = h9"],
@@ -214,6 +206,15 @@ def test_badly_typed_config_value_exits_2(tmp_path, capsys, line):
     assert ":2" in err and line.split()[0] in err
 
 
+def test_the_retired_hierarchy_key_is_an_unknown_key(tmp_path, capsys):
+    """The stage hierarchy is set by ``stage_factors`` and ``stage_depths``
+    alone; a config that still names a ``hierarchy`` is refused at its line."""
+    path = tmp_path / "old.cfg"
+    path.write_text("seq_len = 3200\nhierarchy = h4\n", encoding="utf-8")
+    assert run_cli("analyze", "--config", str(path)) == 2
+    assert "old.cfg:2: unknown key 'hierarchy'" in capsys.readouterr().err
+
+
 def readme_config_block() -> str:
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Configuration files") :]
@@ -223,7 +224,7 @@ def readme_config_block() -> str:
 def test_readme_config_block_lists_every_key_at_its_default(tmp_path):
     block = readme_config_block()
     keys = [line.split("=")[0].strip() for line in block.splitlines() if "=" in line.split("#")[0]]
-    assert sorted(keys) == sorted([*MODEL_VALUES, *RUN_VALUES, "hierarchy"])
+    assert sorted(keys) == sorted([*MODEL_VALUES, *RUN_VALUES])
     path = tmp_path / "readme.cfg"
     path.write_text(block, encoding="utf-8")
     assert cli.parse_run_config(path) == cli.RunConfig()
@@ -594,7 +595,11 @@ def test_synth_with_another_input_width_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "first,second",
-    [("epochs = 3", "epochs = 5"), ("hierarchy = h2", "hierarchy = h4"), ("seed = 1", "seed = 1")],
+    [
+        ("epochs = 3", "epochs = 5"),
+        ("stage_depths = 2,2", "stage_depths = 2,2,2,1"),
+        ("seed = 1", "seed = 1"),
+    ],
 )
 def test_a_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys, first, second):
     path = tmp_path / "twice.cfg"
@@ -614,7 +619,7 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
 CONFIG_KEYS = [
     *(f.name for f in fields(ModelConfig)),
     *(f.name for f in fields(cli.RunConfig) if f.name != "model"),
-    "hierarchy",
+    "hierarchy",  # retired: now an unknown key
 ]
 CONFIG_TEXT = st.characters(blacklist_characters="\n#=", blacklist_categories=("Cs",))
 CONFIG_VALUES = st.one_of(
@@ -629,8 +634,8 @@ CONFIG_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_a_fuzzed_config_file_parses_to_a_run_config_or_a_config_error(tmp_path_factory, data):
-    """``parse_run_config`` alone, over keys from the config fields,
-    ``hierarchy`` and unknown names, with huge, negative, non-finite and empty
+    """``parse_run_config`` alone, over keys from the config fields, the
+    retired ``hierarchy`` and unknown names, with huge, negative, non-finite and empty
     values and bytes that are not UTF-8: it returns a ``RunConfig`` or raises
     a ``ConfigError``, nothing else."""
     lines = data.draw(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES), max_size=6))

@@ -375,6 +375,14 @@ def test_manifest_malformed_line(tmp_path):
         ("r1,0\nr2,1\nr1,1\n", r":3: id 'r1' is listed twice"),
         ("a,0\nb,2\n", r":2: label '2' is not 0 or 1"),
         ("a,0\n\nb,-1\n", r":3: label '-1' is not 0 or 1"),
+        # only the text save_manifest writes: int() would take each of these
+        ("a,0\nb, 1\n", r":2: label ' 1' is not 0 or 1"),
+        ("a,0\nb,1 \n", r":2: label '1 ' is not 0 or 1"),
+        ("a,0\nb,+1\n", r":2: label '\+1' is not 0 or 1"),
+        ("a,0\nb,01\n", r":2: label '01' is not 0 or 1"),
+        ("a,0\nb,0_0\n", r":2: label '0_0' is not 0 or 1"),
+        ("a,0\nb,\uff11\n", r":2: label '\uff11' is not 0 or 1"),  # full-width 1
+        ("a,0\r\nb,1\r\n", r":1: label '0\\r' is not 0 or 1"),  # CRLF lines
     ],
 )
 def test_manifest_rejects_repeated_ids_and_labels_outside_0_1(tmp_path, text, message):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import struct
@@ -7,17 +8,10 @@ import numpy as np
 import pytest
 
 from hafformer import analysis
+from hafformer import model as model_module
 from hafformer.errors import ConfigError, CorruptionError, FormatError, ShapeError
 from hafformer.mixers import ALL_MIXER_COMBOS, ChannelMixerKind, TokenMixerKind
-from hafformer.model import (
-    HierarchyPreset,
-    ModelConfig,
-    apply_preset,
-    build_model,
-    load_checkpoint,
-    param_shapes,
-    save_checkpoint,
-)
+from hafformer.model import ModelConfig, build_model, load_checkpoint, param_shapes, save_checkpoint
 from hafformer.tensor import grad_check
 from hafformer.training import cross_entropy
 
@@ -30,23 +24,32 @@ SMALL = ModelConfig(seq_len=64, input_dim=16)
 # configuration
 
 
-def test_preset_expansions():
+# the paper's four hierarchies as (stage_factors, stage_depths)
+H2 = ((4, 2), (2, 2))
+H3_1 = ((4, 2, 2), (2, 2, 1))
+H3_2 = ((4, 2, 2), (2, 2, 2))
+H4 = ((4, 2, 2, 2), (2, 2, 2, 1))
+
+
+def hierarchy(cfg: ModelConfig, stages) -> ModelConfig:
+    factors, depths = stages
+    return replace(cfg, stage_factors=factors, stage_depths=depths)
+
+
+def test_the_paper_hierarchies_at_3200_frames():
     cfg = ModelConfig()
-    h31 = apply_preset(HierarchyPreset.H3_1, cfg)
-    assert h31.stage_factors == (4, 2, 2) and h31.stage_depths == (2, 2, 1)
-    assert sum(h31.stage_depths) == 5
-    h32 = apply_preset(HierarchyPreset.H3_2, cfg)
-    assert h32.stage_depths == (2, 2, 2) and sum(h32.stage_depths) == 6
-    h4 = apply_preset(HierarchyPreset.H4, cfg)
-    assert len(h4.stage_factors) == 4
+    assert (cfg.stage_factors, cfg.stage_depths) == H3_1  # the default
+    assert sum(hierarchy(cfg, H3_1).stage_depths) == 5
+    assert sum(hierarchy(cfg, H3_2).stage_depths) == 6
+    h4 = hierarchy(cfg, H4)
     assert h4.seq_len // math.prod(h4.stage_factors) == 100  # frames after the last merge
-    h2 = apply_preset(HierarchyPreset.H2, cfg)
+    h2 = hierarchy(cfg, H2)
     assert list(h2.seq_len // np.cumprod(h2.stage_factors)) == [800, 400]
 
 
-def test_preset_on_indivisible_seq_len():
+def test_seq_len_indivisible_by_the_stage_factors_is_refused():
     with pytest.raises(ConfigError, match="seq_len"):
-        apply_preset(HierarchyPreset.H4, replace(ModelConfig(), seq_len=3204))
+        hierarchy(replace(ModelConfig(), seq_len=3204), H4)
 
 
 @pytest.mark.parametrize(
@@ -124,13 +127,11 @@ ATTENTION_FFN_BLOCK = [
     [
         (ModelConfig(), (4, 2, 2), (2, 2, 1), MSDW_GEGLU_BLOCK),
         (
-            apply_preset(
-                HierarchyPreset.H4,
-                replace(
-                    ModelConfig(),
-                    token_mixer=TokenMixerKind.SELF_ATTENTION,
-                    channel_mixer=ChannelMixerKind.FFN,
-                ),
+            ModelConfig(
+                stage_factors=(4, 2, 2, 2),
+                stage_depths=(2, 2, 2, 1),
+                token_mixer=TokenMixerKind.SELF_ATTENTION,
+                channel_mixer=ChannelMixerKind.FFN,
             ),
             (4, 2, 2, 2),
             (2, 2, 2, 1),
@@ -151,7 +152,7 @@ def test_param_shapes_order_is_pinned(cfg, factors, depths, block):
         ("head.fc1.weight", (8, 16)), ("head.fc1.bias", (16,)),
         ("head.fc2.weight", (16, 2)), ("head.fc2.bias", (2,)),
     ]
-    assert list(param_shapes(cfg).items()) == want
+    assert list(param_shapes(cfg)) == want
 
 
 def test_self_attention_ffn_scalar_count():
@@ -164,10 +165,10 @@ def test_self_attention_ffn_scalar_count():
     assert model.params.total_scalars(exclude_prefix="projection.") == 5090
 
 
-@pytest.mark.parametrize("preset", [HierarchyPreset.H3_1, HierarchyPreset.H3_2])
+@pytest.mark.parametrize("stages", [H3_1, H3_2], ids=["h3_1", "h3_2"])
 @pytest.mark.parametrize("tk,ck", ALL_MIXER_COMBOS)
-def test_structural_parity_with_analyzer(tk, ck, preset):
-    cfg = apply_preset(preset, replace(ModelConfig(), token_mixer=tk, channel_mixer=ck))
+def test_structural_parity_with_analyzer(tk, ck, stages):
+    cfg = hierarchy(ModelConfig(token_mixer=tk, channel_mixer=ck), stages)
     model = build_model(cfg)
     report = analysis.count_costs(cfg)
     assert model.params.total_scalars(exclude_prefix="projection.") == report.params_excl_projection
@@ -235,10 +236,10 @@ def test_forward_matches_straight_line_oracle_on_a_short_record(rng):
     assert np.max(np.abs(got - expect)) < 1e-9
 
 
-@pytest.mark.parametrize("preset", [HierarchyPreset.H2, HierarchyPreset.H4])
-def test_forward_matches_the_oracle_on_a_short_record_under_the_h2_and_h4_presets(rng, preset):
+@pytest.mark.parametrize("stages", [H2, H4], ids=["h2", "h4"])
+def test_forward_matches_the_oracle_on_a_short_record_under_the_h2_and_h4_presets(rng, stages):
     # the stage-0 merge is folded into the projection; later merges are not
-    model = build_model(apply_preset(preset, replace(SMALL, seed=9)))
+    model = build_model(hierarchy(replace(SMALL, seed=9), stages))
     perturb_vectors(model, rng)
     x = rng.standard_normal((37, 16))
     assert np.max(np.abs(model.forward(x).value - ref_forward(model, x))) < 1e-9
@@ -503,6 +504,33 @@ DEFAULT_CONFIG_JSON = (
     b'"input_dim":1024,"num_classes":2,"proj_kernel":3,"seed":0,"seq_len":3200,'
     b'"stage_depths":[2,2,1],"stage_factors":[4,2,2],"token_mixer":"msdw"}'
 )
+
+
+def test_a_checkpoint_declaring_more_parameters_than_it_lists_is_refused_before_its_layout_is_built(
+    tmp_path, monkeypatch
+):
+    """A file of a few hundred bytes whose config declares 10^12 blocks and
+    which lists no parameter is a ``FormatError`` after one name of the
+    layout. ``param_shapes`` is wrapped to raise past 10^6 names, and to
+    refuse such a config outright where it builds its whole layout at once,
+    so a loader that reads the layout whole fails here instead of hanging."""
+    layout = model_module.param_shapes
+
+    def bounded(cfg):
+        if not inspect.isgeneratorfunction(layout) and sum(cfg.stage_depths) > 10**6:
+            raise AssertionError(f"the whole layout of {sum(cfg.stage_depths)} blocks was asked for")
+        for n, entry in enumerate(layout(cfg)):
+            if n >= 10**6:
+                raise AssertionError("more than 10^6 names of the layout were read")
+            yield entry
+
+    monkeypatch.setattr(model_module, "param_shapes", bounded)
+    cfg_json = DEFAULT_CONFIG_JSON.replace(b'"stage_depths":[2,2,1]', b'"stage_depths":[2,2,%d]' % 10**12)
+    path = tmp_path / "model.hafc"
+    path.write_bytes(b"HAFC" + struct.pack("<II", 1, len(cfg_json)) + cfg_json + struct.pack("<I", 0))
+    assert path.stat().st_size < 300
+    with pytest.raises(FormatError, match="config declares more parameters than the file's 0"):
+        load_checkpoint(path)
 
 
 def split_config_block(raw: bytes) -> tuple[bytes, bytes, bytes]:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,37 +487,44 @@ def test_primitives_are_bit_deterministic(rng):
         assert np.array_equal(op(), op())
 
 
-FRAMES = (64, 8)  # (L, C) of one sequence: more than 8 terms in every frame-axis sum
 GEGLU_AT_8 = [(8,), (8,), (8, 16), (16,), (8, 16), (16,), (16, 8), (8,)]  # gamma ... b3
 
-# name: (op, shapes of its operands after the batch axis, shapes of its parameters)
-LAYOUT_CASES = {
-    "add": (add, [FRAMES, FRAMES], []),
-    "add_bias": (add_bias, [FRAMES], [(8,)]),
-    "mul": (mul, [FRAMES, FRAMES], []),
-    "scale": (lambda x: scale(x, 1.7), [FRAMES], []),
-    "transpose": (transpose, [FRAMES], []),
-    "sum_all": (sum_all, [FRAMES], []),
-    "gelu": (gelu, [FRAMES], []),
-    "layer_norm": (layer_norm, [FRAMES], [(8,), (8,)]),
-    "softmax_rows": (softmax_rows, [FRAMES], []),
-    "matmul_weight": (matmul, [FRAMES], [(8, 16)]),
-    "matmul_pairwise": (matmul, [FRAMES, (8, 64)], []),
-    "avg_pool_time": (avg_pool_time, [FRAMES], []),
-    "avg_pool_channels": (avg_pool_channels, [FRAMES], []),
-    "mean_pool_time": (mean_pool_time, [FRAMES], []),
-    "cross_entropy": (lambda z: cross_entropy(z, np.arange(z.value.shape[0])), [(9,)], []),
-    "depthwise_conv1d": (depthwise_conv1d, [FRAMES], [(8, 1, 7)]),
-    "conv1d_merge": (conv1d, [FRAMES], [(5, 8, 4), (5,)]),
-    "conv1d_projection": (
-        lambda x, w, b, m, mb: conv1d(list(x.value), w, b, merge=(m, mb)),
-        [FRAMES],
-        [(5, 8, 3), (5,), (4, 5, 4), (4,)],
-    ),
-    "msdw_sublayer": (msdw_sublayer, [FRAMES], [(8,), (8,), (8, 1, 7), (8, 1, 1)]),
-    "geglu_sublayer": (lambda *t: geglu_sublayer(*t, True), [FRAMES], GEGLU_AT_8),
-    "geglu_sublayer_no_residual": (lambda *t: geglu_sublayer(*t, False), [FRAMES], GEGLU_AT_8),
-}
+
+def op_cases(frames: int) -> dict:
+    """Every primitive, both fused sublayers and both ``conv1d`` forms on
+    sequences of ``frames`` frames of 8 channels, as
+    name: (op, shapes of its operands after the batch axis, shapes of its parameters)."""
+    seq = (frames, 8)
+    return {
+        "add": (add, [seq, seq], []),
+        "add_bias": (add_bias, [seq], [(8,)]),
+        "mul": (mul, [seq, seq], []),
+        "scale": (lambda x: scale(x, 1.7), [seq], []),
+        "transpose": (transpose, [seq], []),
+        "sum_all": (sum_all, [seq], []),
+        "gelu": (gelu, [seq], []),
+        "layer_norm": (layer_norm, [seq], [(8,), (8,)]),
+        "softmax_rows": (softmax_rows, [seq], []),
+        "matmul_weight": (matmul, [seq], [(8, 16)]),
+        "matmul_pairwise": (matmul, [seq, (8, frames)], []),
+        "avg_pool_time": (avg_pool_time, [seq], []),
+        "avg_pool_channels": (avg_pool_channels, [seq], []),
+        "mean_pool_time": (mean_pool_time, [seq], []),
+        "cross_entropy": (lambda z: cross_entropy(z, np.arange(z.value.shape[0])), [(9,)], []),
+        "depthwise_conv1d": (depthwise_conv1d, [seq], [(8, 1, 7)]),
+        "conv1d_merge": (conv1d, [seq], [(5, 8, 4), (5,)]),
+        "conv1d_projection": (
+            lambda x, w, b, m, mb: conv1d(list(x.value), w, b, merge=(m, mb)),
+            [seq],
+            [(5, 8, 3), (5,), (4, 5, 4), (4,)],
+        ),
+        "msdw_sublayer": (msdw_sublayer, [seq], [(8,), (8,), (8, 1, 7), (8, 1, 1)]),
+        "geglu_sublayer": (lambda *t: geglu_sublayer(*t, True), [seq], GEGLU_AT_8),
+        "geglu_sublayer_no_residual": (lambda *t: geglu_sublayer(*t, False), [seq], GEGLU_AT_8),
+    }
+
+
+LAYOUT_CASES = op_cases(64)  # more than 8 terms in every frame-axis sum
 
 
 def _laid_out(v, layout):
@@ -550,6 +561,62 @@ def test_results_do_not_depend_on_memory_layout(rng, name, layout, batch):
             assert w is g, i
         else:
             assert np.ascontiguousarray(w).tobytes() == np.ascontiguousarray(g).tobytes(), i
+
+
+def op_results(frames: int, batch: int) -> dict[str, np.ndarray]:
+    """``"<op>.<i>"``: the value (i = 0) and each leaf's gradient (i > 0) of
+    every case of ``op_cases(frames)`` at ``batch`` sequences, from fixed draws."""
+    rng = np.random.default_rng(2604)
+    results = {}
+    for name, (op, operand_shapes, param_shapes) in op_cases(frames).items():
+        leaves = [Tensor(rng.standard_normal((batch, *s))) for s in operand_shapes]
+        leaves += [Tensor(rng.standard_normal(s)) for s in param_shapes]
+        out = op(*leaves)
+        out.backward(rng.standard_normal(out.value.shape))
+        for i, v in enumerate([out.value] + [t.grad for t in leaves]):
+            if v is not None:  # the projection reads its records as arrays
+                results[f"{name}.{i}"] = v
+    return results
+
+
+THREAD_OPS = """
+import sys
+
+import hafformer
+import numpy as np
+
+sys.path.insert(0, sys.argv[2])
+from test_tensor import op_results
+
+np.savez(sys.argv[1], **op_results(800, 8))
+"""
+
+
+@pytest.fixture(scope="module")
+def results_at_one_and_two_threads(tmp_path_factory):
+    """``op_results(800, 8)`` from a subprocess at one BLAS thread and from
+    one at two: batch-8 activations of 800 rows, large enough that OpenBLAS
+    splits their GEMMs and GEMVs over threads."""
+    caps = ("HAFF_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(caps, threads))
+        path = tmp_path_factory.mktemp("threads") / f"ops{threads}.npz"
+        here = str(Path(__file__).resolve().parent)
+        subprocess.run([sys.executable, "-c", THREAD_OPS, str(path), here], env=env, check=True)
+        runs.append(dict(np.load(path)))
+    return runs
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_results_do_not_depend_on_the_blas_thread_count(results_at_one_and_two_threads, name):
+    """Each op gives the same bits, value and every gradient, with one BLAS
+    thread as with two."""
+    one, two = results_at_one_and_two_threads
+    keys = sorted(k for k in one if k.rpartition(".")[0] == name)
+    assert keys and keys == sorted(k for k in two if k.rpartition(".")[0] == name)
+    for key in keys:
+        assert one[key].tobytes() == two[key].tobytes(), key
 
 
 # ---------------------------------------------------------------------------
