@@ -19,7 +19,9 @@ MSDW and GEGLU sublayers, are fused nodes; the formulas they share with the
 primitives (the layer norm's statistics, affine and backward, GELU, the
 depthwise taps) are array helpers that both call. A node keeps only what its
 backward cannot cheaply rebuild: every layer norm keeps each row's mean and
-1/σ and rebuilds x̂ from its input's value, which the graph holds anyway.
+1/σ and rebuilds x̂ from its input's value, which the graph holds anyway, and
+no node keeps a tanh: each GELU's backward recomputes it from the GELU's
+input, which the node holds (MSDW's pre-activation) or rebuilds (GEGLU's u1).
 """
 
 from __future__ import annotations
@@ -206,27 +208,27 @@ def _gelu_tanh(v: np.ndarray) -> np.ndarray:
 def _gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     """d GELU(v) / dv, given ``t = _gelu_tanh(v)``: 0.5*(1 + t) + 0.5*v*(1 - t*t)*du
     with du = c0*(1 + 3*c1*v*v), each product and sum in that order, run in
-    place in three temporaries."""
-    du = v * (3.0 * GELU_TANH_C1)
-    du *= v
-    du += 1.0
-    du *= GELU_TANH_C0
+    place in two temporaries."""
     out = t * t
     np.subtract(1.0, out, out=out)
     term = v * 0.5
     term *= out
+    du = np.multiply(v, 3.0 * GELU_TANH_C1, out=out)  # 1 - t*t is spent: du takes its buffer
+    du *= v
+    du += 1.0
+    du *= GELU_TANH_C0
     term *= du
-    np.add(1.0, t, out=out)
+    out = np.add(1.0, t, out=du)
     out *= 0.5
     out += term
     return out
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-form GELU: 0.5*x*(1 + tanh(c0*(x + c1*x^3)))."""
+    """Tanh-form GELU: 0.5*x*(1 + tanh(c0*(x + c1*x^3))). The node keeps
+    only its input's value; the backward recomputes the tanh from it."""
     v = x.value
-    t = _gelu_tanh(v)
-    return Tensor(0.5 * v * (1.0 + t), (x,), lambda g: (g * _gelu_slope(v, t),))
+    return Tensor(0.5 * v * (1.0 + _gelu_tanh(v)), (x,), lambda g: (g * _gelu_slope(v, _gelu_tanh(v)),))
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +658,9 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
     The conv is same-padded along the frame axis with ``w7`` (C, 1, k), k odd,
     plus the one-tap kernel ``w1`` (C, 1, 1) at its centre tap: the k=1 branch
     reads the same rows as the centre tap, so the two branches are one conv.
-    The node keeps each row's μ and 1/σ, the pre-activation a = depthwise(z)
-    and the GELU's tanh of a, which a transcendental or the conv made; its
-    backward rebuilds x̂ from the value of ``x`` and z = x̂·γ + β from x̂.
+    The node keeps each row's μ and 1/σ and the pre-activation a =
+    depthwise(z), which the conv made; its backward rebuilds x̂ from the
+    value of ``x``, z = x̂·γ + β from x̂, and the GELU's tanh from a.
     """
     _check_affine("msdw_sublayer", x, gamma, beta)
     xv, gv, bv = x.value, gamma.value, beta.value
@@ -673,11 +675,10 @@ def msdw_sublayer(x: Tensor, gamma: Tensor, beta: Tensor, w7: Tensor, w1: Tensor
     xhat, mu, ivar = _ln_stats(xv)
     a = _depthwise(_affine(xhat, gv, bv), kernel, taps)
     del xhat
-    t = _gelu_tanh(a)
-    out = 0.5 * a * (1.0 + t) + xv
+    out = 0.5 * a * (1.0 + _gelu_tanh(a)) + xv
 
     def grads(g):
-        da = g * _gelu_slope(a, t)
+        da = g * _gelu_slope(a, _gelu_tanh(a))
         xhat = _ln_xhat(xv, mu, ivar)
         dk = _depthwise_dw(da, _affine(xhat, gv, bv), kernel, taps)
         dx, dgamma, dbeta = _ln_grads(_depthwise(da, kernel[:, :, ::-1], taps[::-1]), xhat, ivar, gv)
@@ -702,14 +703,19 @@ def geglu_sublayer(
     """The GEGLU channel sublayer as one node: with z = LN(x),
     (GELU(z·w1 + b1) ⊙ (z·w2 + b2))·w3 + b3, plus x if ``residual``.
 
-    ``w1`` and ``w2`` are (C, H), ``w3`` is (H, C). The node keeps each row's
-    μ and 1/σ and the GELU's tanh of u1 = z·w1 + b1; its backward rebuilds x̂
-    from the value of ``x``, then z, u1 and u2 = z·w2 + b2 with the forward's
-    own two GEMMs, and the gated product from them. Each projection is its
-    own GEMM: on OpenBLAS 0.3.31 (one thread, x86-64) a (6400, 8) x (8, 32)
-    product took about 140 us against 30 us for an (8, 16) one, and its
-    halves would be strided views, slower for every elementwise op after
-    them.
+    ``w1`` and ``w2`` are (C, H), ``w3`` is (H, C). The node keeps only each
+    row's μ and 1/σ. Its backward rebuilds x̂ from the value of ``x``, z
+    from x̂ and u1 = z·w1 + b1 with the forward's GEMM, takes the GELU's
+    tanh and slope from u1, then forms the gate in u1's buffer; only then
+    does it rebuild u2 = z·w2 + b2, so that at most four (rows, H) arrays
+    are alive at once, temporaries included. It finishes u2's gradient
+    (weight, bias and dz term) and drops it before it forms u1's;
+    dz = du2·w2ᵀ + du1·w1ᵀ has the bits of the opposite order, since a
+    floating-point sum of two terms commutes.
+    Each projection is its own GEMM: on OpenBLAS 0.3.31 (one thread,
+    x86-64) a (6400, 8) x (8, 32) product took about 140 us against 30 us
+    for an (8, 16) one, and its halves would be strided views, slower for
+    every elementwise op after them.
     """
     _check_affine("geglu_sublayer", x, gamma, beta)
     xv, gv, bv = x.value, gamma.value, beta.value
@@ -720,42 +726,48 @@ def geglu_sublayer(
         raise ShapeError(f"geglu_sublayer: weights {shapes} do not fit {C} channels")
     w1v, w2v, w3v = w1.value, w2.value, w3.value
 
-    def projections(xhat):
-        """z (rows, C) from x̂, and u1 and u2."""
-        z2 = _rows(_affine(xhat, gv, bv))
-        return z2, z2 @ w1v + b1.value, z2 @ w2v + b2.value
-
     xhat, mu, ivar = _ln_stats(xv)
-    _, u1, u2 = projections(xhat)
+    z2 = _rows(_affine(xhat, gv, bv))
     del xhat
-    t = _gelu_tanh(u1)
-    out = ((0.5 * u1 * (1.0 + t) * u2) @ w3v).reshape(xv.shape) + b3.value
+    u1, u2 = z2 @ w1v + b1.value, z2 @ w2v + b2.value
+    del z2
+    out = ((0.5 * u1 * (1.0 + _gelu_tanh(u1)) * u2) @ w3v).reshape(xv.shape) + b3.value
     if residual:
         out += xv
 
     def grads(g):
         g2 = _rows(g)
         xhat = _ln_xhat(xv, mu, ivar)
-        z2, u1, u2 = projections(xhat)
-        gate = 0.5 * u1
-        gate *= 1.0 + t
+        z2 = _rows(_affine(xhat, gv, bv))
+        u1 = z2 @ w1v + b1.value
+        t = _gelu_tanh(u1)
+        slope = _gelu_slope(u1, t)
+        gate = np.multiply(u1, 0.5, out=u1)  # 0.5 * u1 * (1 + t), in u1's buffer
+        del u1
+        t += 1.0
+        gate *= t
+        del t
+        u2 = z2 @ w2v + b2.value
         dw3 = (gate * u2).T @ g2
         dp = g2 @ w3v.T
-        du2 = dp * gate
+        du2 = np.multiply(gate, dp, out=gate)  # dp * gate, in the gate's buffer
         del gate
+        dw2, db2 = z2.T @ du2, _col_sum(du2)
+        dz = du2 @ w2v.T
+        del du2
         du1 = dp
         du1 *= u2
         del u2
-        du1 *= _gelu_slope(u1, t)
-        del u1
-        dw1, dw2 = z2.T @ du1, z2.T @ du2
+        du1 *= slope
+        del slope
+        dw1, db1 = z2.T @ du1, _col_sum(du1)
         del z2
-        dz = du1 @ w1v.T
-        dz += du2 @ w2v.T
+        dz += du1 @ w1v.T
+        del du1
         dx, dgamma, dbeta = _ln_grads(dz.reshape(xv.shape), xhat, ivar, gv)
         if residual:
             dx += g
-        return dx, dgamma, dbeta, dw1, _col_sum(du1), dw2, _col_sum(du2), dw3, _col_sum(g2)
+        return dx, dgamma, dbeta, dw1, db1, dw2, db2, dw3, _col_sum(g2)
 
     return Tensor(out, (x, gamma, beta, w1, b1, w2, b2, w3, b3), grads)
 

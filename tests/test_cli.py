@@ -196,7 +196,7 @@ def test_every_config_field_is_a_key_with_a_typed_value(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["channel_residual = yes", "stage_factors = 4,x", "lr = fast", "epochs = 2.5", "hierarchy = h9"],
+    ["channel_residual = yes", "stage_factors = 4,x", "lr = fast", "epochs = 2.5", "channel_mixer = h9"],
 )
 def test_badly_typed_config_value_exits_2(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"
