@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, data, mixers, training
+from . import data, mixers, training
 from .errors import (
     ConfigError,
     CorruptionError,
@@ -137,6 +137,8 @@ def _load_run_config(args) -> RunConfig:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # the cost model loads only for this command
+
     run = _load_run_config(args)
     cfg = run.model
     combos = list(ALL_MIXER_COMBOS) if args.all_combos else [(cfg.token_mixer, cfg.channel_mixer)]

@@ -29,10 +29,15 @@ FINITE_CHECK_VALUES = 1 << 16  # feature values read and checked as one block
 # synthetic-cue constants: class 1 adds difficulty * sin(2*pi*t/CUE_PERIOD + phase)
 # to CUE_CHANNELS. The subset is fixed (independent of the dataset seed) so
 # train and held-out splits share the same cue and generalization is well posed.
+# It was first drawn as np.sort(np.random.default_rng(0x48414646).choice(
+# EMBEDDING_DIM, CUE_CHANNEL_COUNT, replace=False)) and is written out so that
+# importing the package does not load numpy.random; a test keeps the two equal.
 CUE_PERIOD = 400.0
 CUE_CHANNEL_COUNT = 32
-CUE_CHANNELS = np.sort(
-    np.random.default_rng(0x48414646).choice(EMBEDDING_DIM, CUE_CHANNEL_COUNT, replace=False)
+CUE_CHANNELS = np.array(
+    [0, 7, 34, 53, 59, 122, 133, 139, 256, 284, 336, 361, 404, 411, 416, 501,
+     509, 524, 527, 561, 580, 749, 795, 802, 807, 916, 934, 951, 997, 1006, 1017, 1022],
+    dtype=np.int64,
 )
 BAND_ENERGY_THRESHOLD = 50.0
 SYNTH_MIN_FRAMES = 800
@@ -116,7 +121,7 @@ def save_embedding(path, record: EmbeddingRecord) -> None:
         fh.write(struct.pack("<II", *features.shape))
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
-        fh.write(features.tobytes())
+        fh.write(features)  # from the array's own buffer, no copy
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

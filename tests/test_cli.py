@@ -800,11 +800,46 @@ def test_thread_cap_warns_when_numpy_was_imported_first(code, preset, warns):
 
 
 def test_a_fresh_import_exposes_the_submodules():
+    """``import hafformer`` loads neither ``numpy.random`` nor the cost model,
+    which still loads on first access as ``h.analysis``."""
     code = (
-        "import hafformer as h, types; "
+        "import sys, types, hafformer as h; "
+        "print([m for m in ('numpy.random', 'decimal', 'hafformer.analysis') if m in sys.modules]); "
+        "print(callable(h.analysis.count_costs)); "
         "print(all(isinstance(getattr(h, name), types.ModuleType) for name in "
         "('analysis', 'data', 'mixers', 'model', 'tensor', 'training')))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "True\n"
+    assert result.stdout == "[]\nTrue\nTrue\n"
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_a_thread_cap_that_is_not_a_positive_integer_warns_and_stays_at_1(value):
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["HAFF_THREADS"] = value
+    code = "import os, hafformer; print([os.environ[v] for v in " + repr(thread_vars) + "])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['1', '1', '1']\n"
+    assert result.stderr.count("RuntimeWarning") == 1
+    assert f"HAFF_THREADS={value!r}" in result.stderr
+
+
+def test_eval_from_files_does_not_load_numpy_random(tmp_path):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    save_checkpoint(build_model(ModelConfig(seq_len=64, input_dim=16)), out_dir / cli.CHECKPOINT_NAME)
+    records = tuple(
+        data.EmbeddingRecord(f"r{i}", np.full((64, 16), i, dtype=np.float32), i) for i in range(2)
+    )
+    data.save_dataset(tmp_path / "data", data.Dataset(records, "test"))
+    code = (
+        "import sys; from hafformer import cli; "
+        f"rc = cli.main(['eval', '--data', {str(tmp_path / 'data')!r}, '--out', {str(out_dir)!r}]); "
+        "print(rc, 'numpy.random' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"

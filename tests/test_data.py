@@ -184,6 +184,20 @@ def test_loading_a_dataset_holds_one_record_at_a_time(tmp_path, rng):
     assert peak(12) < peak(4) + record_bytes
 
 
+def test_saving_a_record_writes_from_its_own_buffer(tmp_path, rng):
+    """A 3200x1024 float32 record (13.1 MB) is written without a copy of its values."""
+    record = EmbeddingRecord("r", rng.standard_normal((3200, 1024), dtype=np.float32), 0)
+    tracemalloc.start()
+    try:
+        save_embedding(tmp_path / "r.hafe", record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20)
+    _, loaded = load_embedding(tmp_path / "r.hafe")
+    assert np.array_equal(loaded, record.features)
+
+
 @pytest.mark.parametrize("rows", [63, 64, 65])  # 64 rows of 1024 channels are one block
 @pytest.mark.parametrize("at", ["first", "last"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -525,6 +539,10 @@ def test_cue_channels_are_a_fixed_subset():
     assert len(CUE_CHANNELS) == 32
     assert len(set(CUE_CHANNELS.tolist())) == 32
     assert CUE_CHANNELS.min() >= 0 and CUE_CHANNELS.max() < 1024
+    # the literal is the seeded draw that first fixed the synthetic data
+    drawn = np.sort(np.random.default_rng(0x48414646).choice(1024, 32, replace=False))
+    assert CUE_CHANNELS.dtype == drawn.dtype
+    assert np.array_equal(CUE_CHANNELS, drawn)
 
 
 def test_band_energy_oracle_separates_full_difficulty():
